@@ -40,6 +40,7 @@ type benchState struct {
 	platform *offload.Platform
 	schema   *space.Schema
 	workload offload.Workload
+	models   *core.Models
 	pred     *core.Predictor
 	err      error
 }
@@ -60,6 +61,7 @@ func fixtures(b *testing.B) *benchState {
 			state.err = err
 			return
 		}
+		state.models = models
 		state.pred, state.err = core.NewPredictor(models, state.workload, state.platform.Model())
 	})
 	if state.err != nil {
@@ -93,6 +95,48 @@ func Defs() []Def {
 		{Name: "ring-lookup", Bench: benchRingLookup},
 		{Name: "local-warm-hit-http", Bench: benchLocalWarmHitHTTP},
 		{Name: "forward-warm-hit", Bench: benchForwardWarmHit},
+		{Name: "predict-miss", Bench: benchPredictMiss},
+		{Name: "cold-eml", Bench: benchColdEML},
+	}
+}
+
+// benchPredictMiss is one host-side model prediction with no memo in
+// front: feature encoding, normalization and the compiled boosted
+// ensemble — the cost every predictor memo miss pays. Contract: 0
+// allocs/op (the sample lives in a stack array).
+func benchPredictMiss(b *testing.B) {
+	s := fixtures(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.models.PredictHost(48, machine.AffinityScatter, float64(1+i%3000)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchColdEML is one EML run on a fresh predictor: enumeration of the
+// 19,926-config space priced entirely by prediction misses (about 1,800
+// distinct per-side inputs), plus the one fair-comparison measurement.
+// It is the cold ML request a tuning service pays once per workload
+// size.
+func benchColdEML(b *testing.B) {
+	s := fixtures(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pred, err := core.NewPredictor(s.models, s.workload, s.platform.Model())
+		if err != nil {
+			b.Fatal(err)
+		}
+		inst := &core.Instance{Schema: s.schema, Measurer: core.NewMeasurer(s.platform, s.workload), Predictor: pred}
+		res, err := core.Run(core.EML, inst, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.SearchEvaluations != 19926 {
+			b.Fatal("enumeration incomplete")
+		}
 	}
 }
 

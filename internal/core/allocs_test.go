@@ -39,3 +39,23 @@ func TestPredictorEvaluateSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state Evaluate allocates %g allocs/op, want 0", allocs)
 	}
 }
+
+// TestModelsPredictZeroAllocs pins a prediction miss as allocation-free:
+// the sample is encoded and normalized in a stack array and handed to
+// the compiled ensemble without escaping.
+func TestModelsPredictZeroAllocs(t *testing.T) {
+	models := testModels(t, offload.NewPlatform())
+	size := 0.0
+	allocs := testing.AllocsPerRun(200, func() {
+		size++
+		if _, err := models.PredictHost(48, machine.AffinityScatter, size); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := models.PredictDevice(240, machine.AffinityBalanced, size); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("PredictHost+PredictDevice allocate %g allocs/op, want 0", allocs)
+	}
+}

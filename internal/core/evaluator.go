@@ -66,22 +66,6 @@ func (m *Measurer) Evaluate(cfg space.Config) (offload.Measurement, error) {
 	return m.Platform.MeasureFull(m.Workload, cfg, m.Trial)
 }
 
-// EvaluateBatch implements search.BatchEvaluator by running one
-// experiment per configuration into out. Semantics match a sequential
-// Evaluate loop exactly: each attempt is charged and the first error
-// stops the batch.
-func (m *Measurer) EvaluateBatch(cfgs []space.Config, out []offload.Measurement) error {
-	for i, cfg := range cfgs {
-		m.count.Add(1)
-		v, err := m.Platform.MeasureFull(m.Workload, cfg, m.Trial)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-	}
-	return nil
-}
-
 // Count returns the number of experiments performed so far.
 func (m *Measurer) Count() int { return int(m.count.Load()) }
 
@@ -130,7 +114,13 @@ func deviceFeatures(threads int, aff machine.Affinity, sizeMB float64) []float64
 }
 
 func sideFeatures(threads int, aff machine.Affinity, sizeMB float64, order []machine.Affinity) []float64 {
-	x := make([]float64, numFeatures)
+	x := new([numFeatures]float64)
+	encodeSide(x, threads, aff, sizeMB, order)
+	return x[:]
+}
+
+// encodeSide writes one side's feature vector into the zeroed array x.
+func encodeSide(x *[numFeatures]float64, threads int, aff machine.Affinity, sizeMB float64, order []machine.Affinity) {
 	x[featThreads] = float64(threads)
 	x[featSizeMB] = sizeMB
 	for i, a := range order {
@@ -138,7 +128,6 @@ func sideFeatures(threads int, aff machine.Affinity, sizeMB float64, order []mac
 			x[featAffBase+i] = 1
 		}
 	}
-	return x
 }
 
 // Predictor evaluates configurations with the trained per-side regression
@@ -253,18 +242,4 @@ func (p *Predictor) devTime(threads int, aff machine.Affinity, sizeMB float64) (
 	return p.devMemo.Do(key, func() (float64, error) {
 		return p.models.PredictDevice(threads, aff, sizeMB)
 	})
-}
-
-// EvaluateBatch implements search.BatchEvaluator: identical to a
-// sequential Evaluate loop (first error stops), with steady-state
-// predictions served from the side memos without allocating.
-func (p *Predictor) EvaluateBatch(cfgs []space.Config, out []offload.Measurement) error {
-	for i, cfg := range cfgs {
-		v, err := p.Evaluate(cfg)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-	}
-	return nil
 }

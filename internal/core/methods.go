@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"hetopt/internal/offload"
-	"hetopt/internal/search"
 	"hetopt/internal/space"
 	"hetopt/internal/strategy"
 )
@@ -399,43 +398,6 @@ func (p *searchProblem) Energy(state []int) (float64, error) {
 		return 0, err
 	}
 	return objectiveValue(p.obj, t), nil
-}
-
-// EnergyBatch implements strategy.BatchProblem: decode every state, hand
-// the configurations to the evaluator's batch path in one call, and
-// score each measurement under the objective. Strategies only produce
-// valid states, so decoding up front before evaluating (instead of
-// interleaved, as the sequential loop does) can only reorder work on the
-// never-taken invalid-state path. Falls back to the sequential loop for
-// evaluators without a batch path.
-func (p *searchProblem) EnergyBatch(states [][]int, out []float64) error {
-	be, ok := p.eval.(search.BatchEvaluator)
-	if !ok {
-		for i, st := range states {
-			e, err := p.Energy(st)
-			if err != nil {
-				return err
-			}
-			out[i] = e
-		}
-		return nil
-	}
-	cfgs := make([]space.Config, len(states))
-	for i, st := range states {
-		cfg, err := p.schema.Config(st)
-		if err != nil {
-			return err
-		}
-		cfgs[i] = cfg
-	}
-	ms := make([]offload.Measurement, len(states))
-	if err := be.EvaluateBatch(cfgs, ms); err != nil {
-		return err
-	}
-	for i := range ms {
-		out[i] = objectiveValue(p.obj, ms[i])
-	}
-	return nil
 }
 
 // searchWith runs a strategy over the adapted problem and decodes the

@@ -95,8 +95,14 @@ func LoadModels(r io.Reader) (*Models, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: host model: %w", err)
 	}
+	if err := checkSide(host, header.HostNorm); err != nil {
+		return nil, fmt.Errorf("core: host model: %w", err)
+	}
 	device, err := ml.LoadBoostedTrees(bytes.NewReader(header.DevModel))
 	if err != nil {
+		return nil, fmt.Errorf("core: device model: %w", err)
+	}
+	if err := checkSide(device, header.DeviceNorm); err != nil {
 		return nil, fmt.Errorf("core: device model: %w", err)
 	}
 	hostNorm := header.HostNorm
@@ -110,6 +116,18 @@ func LoadModels(r io.Reader) (*Models, error) {
 		HostReport:   SideReport{Eval: fromSavedEval(header.HostEval)},
 		DeviceReport: SideReport{Eval: fromSavedEval(header.DeviceEval)},
 	}, nil
+}
+
+// checkSide rejects a loaded side whose normalizer or splits do not fit
+// the encoded sample, which would make every prediction fail or panic.
+func checkSide(m *ml.BoostedTrees, norm ml.Normalizer) error {
+	if len(norm.Min) != numFeatures || len(norm.Max) != numFeatures {
+		return fmt.Errorf("normalizer has %d/%d columns, want %d", len(norm.Min), len(norm.Max), numFeatures)
+	}
+	if f := m.MaxFeature(); f >= numFeatures {
+		return fmt.Errorf("splits on feature %d, but samples have %d features", f, numFeatures)
+	}
+	return nil
 }
 
 // SaveModelsFile and LoadModelsFile are file-path conveniences.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"hetopt/internal/dna"
 	"hetopt/internal/machine"
@@ -216,20 +217,33 @@ type Models struct {
 
 // PredictHost predicts the host execution time for a raw sample.
 func (m *Models) PredictHost(threads int, aff machine.Affinity, sizeMB float64) (float64, error) {
-	x, err := m.HostNorm.Apply(hostFeatures(threads, aff, sizeMB))
-	if err != nil {
-		return 0, err
-	}
-	return clampTime(m.Host.Predict(x)), nil
+	return predictSide(m.Host, m.HostNorm, threads, aff, sizeMB, hostAffinityOrder)
 }
 
 // PredictDevice predicts the device execution time for a raw sample.
 func (m *Models) PredictDevice(threads int, aff machine.Affinity, sizeMB float64) (float64, error) {
-	x, err := m.DeviceNorm.Apply(deviceFeatures(threads, aff, sizeMB))
-	if err != nil {
+	return predictSide(m.Device, m.DeviceNorm, threads, aff, sizeMB, deviceAffinityOrder)
+}
+
+// predictSide encodes and normalizes one sample in a stack array, so a
+// prediction allocates nothing.
+func predictSide(reg ml.Regressor, norm *ml.Normalizer, threads int, aff machine.Affinity, sizeMB float64, order []machine.Affinity) (float64, error) {
+	var x [numFeatures]float64
+	encodeSide(&x, threads, aff, sizeMB, order)
+	if err := norm.ApplyInPlace(x[:]); err != nil {
 		return 0, err
 	}
-	return clampTime(m.Device.Predict(x)), nil
+	return clampTime(regress(reg, x[:])), nil
+}
+
+// regress evaluates reg on x without letting x escape to the heap, as an
+// interface call would: the boosted ensemble every ML method uses is
+// called on its concrete type, and any other regressor gets a copy.
+func regress(reg ml.Regressor, x []float64) float64 {
+	if b, ok := reg.(*ml.BoostedTrees); ok {
+		return b.Predict(x)
+	}
+	return reg.Predict(slices.Clone(x))
 }
 
 // clampTime floors predictions at a microsecond: execution times are

@@ -10,9 +10,8 @@
 // platform's host-device link). A deterministic list-scheduling
 // simulator turns a placement vector — one host/device bit per node —
 // into a makespan, and PlacementProblem exposes makespan minimization
-// on the strategy layer (Spaced and batch-capable, so every registered
-// strategy including exhaustive enumeration and the portfolio applies
-// unchanged).
+// on the strategy layer (Spaced, so every registered strategy including
+// exhaustive enumeration and the portfolio applies unchanged).
 package graph
 
 import (

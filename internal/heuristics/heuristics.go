@@ -27,18 +27,6 @@ type Problem interface {
 	Energy(state []int) float64
 }
 
-// BatchProblem is optionally implemented by problems that evaluate a
-// slice of states in one call, equivalent to out[i] = Energy(states[i])
-// in order. Genetic uses it to evaluate whole generations at once;
-// because evaluation consumes no search randomness, batching never
-// changes a result.
-type BatchProblem interface {
-	Problem
-	// EnergyBatch writes Energy(states[i]) into out[i];
-	// len(out) >= len(states).
-	EnergyBatch(states [][]int, out []float64)
-}
-
 // Result is the outcome of a search.
 type Result struct {
 	// Best is the lowest-energy state found; BestEnergy its energy.
@@ -375,14 +363,6 @@ func Genetic(p Problem, opt GeneticOptions) (Result, error) {
 		return child
 	}
 
-	bp, batch := p.(BatchProblem)
-	var states [][]int
-	var energies []float64
-	if batch {
-		states = make([][]int, 0, pop)
-		energies = make([]float64, pop)
-	}
-
 	for !c.spent() {
 		// Elitism: carry the best individuals over unchanged.
 		sort.Slice(population, func(i, j int) bool { return population[i].energy < population[j].energy })
@@ -390,37 +370,15 @@ func Genetic(p Problem, opt GeneticOptions) (Result, error) {
 		for i := 0; i < elite; i++ {
 			next = append(next, population[i])
 		}
-		if batch {
-			// Generate exactly the children the sequential loop would —
-			// evaluation consumes no randomness, so drawing them all
-			// before evaluating leaves the RNG stream unchanged — then
-			// evaluate the whole generation in one call.
-			b := pop - len(next)
-			if rem := c.limit - c.used; b > rem {
-				b = rem
+		for len(next) < pop && !c.spent() {
+			child := makeChild()
+			e, ok := c.eval(child)
+			if !ok {
+				break
 			}
-			states = states[:0]
-			for len(states) < b {
-				states = append(states, makeChild())
-			}
-			bp.EnergyBatch(states, energies[:len(states)])
-			for i, g := range states {
-				c.used++
-				in := indiv{genes: g, energy: sanitize(energies[i])}
-				record(in)
-				next = append(next, in)
-			}
-		} else {
-			for len(next) < pop && !c.spent() {
-				child := makeChild()
-				e, ok := c.eval(child)
-				if !ok {
-					break
-				}
-				in := indiv{genes: child, energy: e}
-				record(in)
-				next = append(next, in)
-			}
+			in := indiv{genes: child, energy: e}
+			record(in)
+			next = append(next, in)
 		}
 		if len(next) < pop {
 			break // budget exhausted mid-generation

@@ -48,27 +48,35 @@ func (o BoostOptions) withDefaults() BoostOptions {
 	return o
 }
 
-// BoostedTrees is a fitted boosted regression-tree ensemble.
+// BoostedTrees is a fitted boosted regression-tree ensemble, held in the
+// compiled complete-tree layout of layout.go.
 type BoostedTrees struct {
 	base         float64
 	learningRate float64
-	trees        []*Tree
+	// depth is D: every tree is stored as a complete binary tree of
+	// depth D in heap order (node k has children 2k+1 and 2k+2), so tree
+	// t owns feat/thr[t*inner:(t+1)*inner] and
+	// leaves[t*(inner+1):(t+1)*(inner+1)] with inner = 2^D-1.
+	depth  int
+	ntrees int
+	feat   []uint8
+	thr    []float64
+	leaves []float64
+	// real marks the inner slots holding a fitted split; the rest are
+	// leaf padding (a fitted split may itself sit at +Inf when features
+	// hold NaN, so the threshold alone cannot tell them apart).
+	// splitMeans holds those splits' node means, tree by tree in
+	// preorder. Predict reads neither; Save needs both to write the
+	// fitted trees back in the persisted format.
+	real       []uint64
+	splitMeans []float64
 	// TrainLoss records the mean squared error on the training set after
 	// every round (diagnostics and convergence tests).
 	TrainLoss []float64
 }
 
 // NumTrees returns the number of boosting stages fitted.
-func (b *BoostedTrees) NumTrees() int { return len(b.trees) }
-
-// Predict implements Regressor.
-func (b *BoostedTrees) Predict(x []float64) float64 {
-	out := b.base
-	for _, t := range b.trees {
-		out += b.learningRate * t.Predict(x)
-	}
-	return out
-}
+func (b *BoostedTrees) NumTrees() int { return b.ntrees }
 
 // FitBoostedTrees trains Boosted Decision Tree Regression on d with
 // least-squares loss:
@@ -90,6 +98,9 @@ func FitBoostedTrees(d *Dataset, opt BoostOptions) (*BoostedTrees, error) {
 	if opt.Subsample <= 0 || opt.Subsample > 1 {
 		return nil, fmt.Errorf("ml: subsample fraction %g outside (0,1]", opt.Subsample)
 	}
+	if opt.Tree.MaxDepth > MaxEnsembleDepth {
+		return nil, fmt.Errorf("ml: tree depth %d above the ensemble cap %d", opt.Tree.MaxDepth, MaxEnsembleDepth)
+	}
 
 	n := d.Len()
 	base := 0.0
@@ -99,6 +110,7 @@ func FitBoostedTrees(d *Dataset, opt BoostOptions) (*BoostedTrees, error) {
 	base /= float64(n)
 
 	model := &BoostedTrees{base: base, learningRate: opt.LearningRate}
+	trees := make([]*Tree, 0, opt.Rounds)
 	pred := make([]float64, n)
 	for i := range pred {
 		pred[i] = base
@@ -128,7 +140,7 @@ func FitBoostedTrees(d *Dataset, opt BoostOptions) (*BoostedTrees, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ml: boosting round %d: %w", round, err)
 		}
-		model.trees = append(model.trees, tree)
+		trees = append(trees, tree)
 		mse := 0.0
 		for i, row := range d.X {
 			pred[i] += opt.LearningRate * tree.Predict(row)
@@ -137,5 +149,6 @@ func FitBoostedTrees(d *Dataset, opt BoostOptions) (*BoostedTrees, error) {
 		}
 		model.TrainLoss = append(model.TrainLoss, mse/float64(n))
 	}
+	model.compile(trees)
 	return model, nil
 }

@@ -1,6 +1,9 @@
 package ml
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Normalizer rescales features to [0,1] per column (min-max scaling), the
 // "Normalize Data" stage of the paper's Figure 4 training pipeline. The
@@ -36,19 +39,27 @@ func FitNormalizer(d *Dataset) (*Normalizer, error) {
 
 // Apply rescales one sample into a fresh slice.
 func (n *Normalizer) Apply(x []float64) ([]float64, error) {
-	if len(x) != len(n.Min) {
-		return nil, fmt.Errorf("ml: normalizer fitted on %d features, got %d", len(n.Min), len(x))
+	out := slices.Clone(x)
+	if err := n.ApplyInPlace(out); err != nil {
+		return nil, err
 	}
-	out := make([]float64, len(x))
+	return out, nil
+}
+
+// ApplyInPlace rescales one sample in place, with Apply's arithmetic.
+func (n *Normalizer) ApplyInPlace(x []float64) error {
+	if len(x) != len(n.Min) {
+		return fmt.Errorf("ml: normalizer fitted on %d features, got %d", len(n.Min), len(x))
+	}
 	for j, v := range x {
 		span := n.Max[j] - n.Min[j]
 		if span == 0 {
-			out[j] = 0
+			x[j] = 0
 			continue
 		}
-		out[j] = (v - n.Min[j]) / span
+		x[j] = (v - n.Min[j]) / span
 	}
-	return out, nil
+	return nil
 }
 
 // ApplyDataset rescales every row into a new dataset (targets shared).

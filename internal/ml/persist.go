@@ -27,27 +27,15 @@ type persistedBoosted struct {
 
 // Save writes the ensemble to w in gob encoding.
 func (b *BoostedTrees) Save(w io.Writer) error {
-	p := persistedBoosted{Base: b.base, LearningRate: b.learningRate}
-	for _, t := range b.trees {
-		nodes := make([]persistedNode, len(t.nodes))
-		for i, n := range t.nodes {
-			nodes[i] = persistedNode{
-				Feature:   n.feature,
-				Threshold: n.threshold,
-				Left:      n.left,
-				Right:     n.right,
-				Value:     n.value,
-			}
-		}
-		p.Trees = append(p.Trees, nodes)
-	}
+	p := persistedBoosted{Base: b.base, LearningRate: b.learningRate, Trees: b.persistedTrees()}
 	if err := gob.NewEncoder(w).Encode(p); err != nil {
 		return fmt.Errorf("ml: saving boosted trees: %w", err)
 	}
 	return nil
 }
 
-// LoadBoostedTrees reads an ensemble previously written by Save.
+// LoadBoostedTrees reads an ensemble previously written by Save,
+// validates every tree and compiles the ensemble.
 func LoadBoostedTrees(r io.Reader) (*BoostedTrees, error) {
 	var p persistedBoosted
 	if err := gob.NewDecoder(r).Decode(&p); err != nil {
@@ -56,7 +44,7 @@ func LoadBoostedTrees(r io.Reader) (*BoostedTrees, error) {
 	if p.LearningRate <= 0 || p.LearningRate > 1 {
 		return nil, fmt.Errorf("ml: loaded learning rate %g outside (0,1]", p.LearningRate)
 	}
-	b := &BoostedTrees{base: p.Base, learningRate: p.LearningRate}
+	trees := make([]*Tree, 0, len(p.Trees))
 	for i, nodes := range p.Trees {
 		if len(nodes) == 0 {
 			return nil, fmt.Errorf("ml: loaded tree %d is empty", i)
@@ -74,25 +62,35 @@ func LoadBoostedTrees(r io.Reader) (*BoostedTrees, error) {
 		if err := t.validate(); err != nil {
 			return nil, fmt.Errorf("ml: loaded tree %d: %w", i, err)
 		}
-		b.trees = append(b.trees, t)
+		trees = append(trees, t)
 	}
+	b := &BoostedTrees{base: p.Base, learningRate: p.LearningRate}
+	b.compile(trees)
 	return b, nil
 }
 
-// validate checks structural sanity of a deserialized tree: child indices
-// in range and leaves marked consistently.
+// validate checks that a deserialized tree is one Predict and the
+// compiled layout can walk: every child index follows its parent's (the
+// builder emits preorder, and the rule excludes cycles), split features
+// fit the layout's uint8, and the depth is within MaxEnsembleDepth.
 func (t *Tree) validate() error {
 	n := int32(len(t.nodes))
-	for i, node := range t.nodes {
+	height := make([]int, n)
+	for i := n - 1; i >= 0; i-- {
+		node := t.nodes[i]
 		if node.feature < 0 {
 			continue // leaf
 		}
-		if node.left < 0 || node.left >= n || node.right < 0 || node.right >= n {
-			return fmt.Errorf("node %d has out-of-range children (%d, %d)", i, node.left, node.right)
+		if node.feature > maxSplitFeature {
+			return fmt.Errorf("node %d splits on feature %d, above %d", i, node.feature, maxSplitFeature)
 		}
-		if node.left == int32(i) || node.right == int32(i) {
-			return fmt.Errorf("node %d is its own child", i)
+		if node.left <= i || node.left >= n || node.right <= i || node.right >= n {
+			return fmt.Errorf("node %d has children (%d, %d) outside (%d, %d)", i, node.left, node.right, i, n)
 		}
+		height[i] = 1 + max(height[node.left], height[node.right])
+	}
+	if height[0] > MaxEnsembleDepth {
+		return fmt.Errorf("depth %d above the ensemble cap %d", height[0], MaxEnsembleDepth)
 	}
 	return nil
 }

@@ -28,18 +28,6 @@ type Evaluator interface {
 	Evaluate(cfg space.Config) (offload.Measurement, error)
 }
 
-// BatchEvaluator is an Evaluator that can also evaluate a slice of
-// configurations in one call, writing results into out (len(out) >=
-// len(cfgs)). Semantics match calling Evaluate sequentially over cfgs —
-// same values, same effort accounting, stop at the first error — batching
-// only amortizes per-call interface and memo overhead. *core.Measurer,
-// *core.Predictor and *Cache implement it; strategies probe for it with a
-// type assertion and fall back to the sequential loop.
-type BatchEvaluator interface {
-	Evaluator
-	EvaluateBatch(cfgs []space.Config, out []offload.Measurement) error
-}
-
 // memoEntry holds one memoized computation; once guards the single
 // flight, done publishes completion to the lock-free Get fast path.
 type memoEntry[V any] struct {
@@ -186,20 +174,6 @@ func (c *Cache) Evaluate(cfg space.Config) (offload.Measurement, error) {
 	return c.memo.Do(cfg, func() (offload.Measurement, error) {
 		return c.eval.Evaluate(cfg)
 	})
-}
-
-// EvaluateBatch implements BatchEvaluator: identical to evaluating cfgs
-// sequentially (same memo accounting, first error stops), with hits
-// served allocation-free.
-func (c *Cache) EvaluateBatch(cfgs []space.Config, out []offload.Measurement) error {
-	for i, cfg := range cfgs {
-		v, err := c.Evaluate(cfg)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-	}
-	return nil
 }
 
 // Lookups returns the number of Evaluate calls observed.

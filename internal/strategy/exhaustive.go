@@ -71,52 +71,15 @@ func (Exhaustive) Minimize(p Problem, opt Options) (Result, error) {
 	}
 	scan := func(lo, hi int) (shardBest, error) {
 		sb := shardBest{e: math.Inf(1), ord: -1}
-		bp, batch := sp.(BatchProblem)
-		if !batch {
-			err := prod.ForEachRange(lo, hi, func(ord int, idx []int) error {
-				e, err := sp.Energy(idx)
-				if err != nil {
-					return err
-				}
-				merge(&sb, e, ord)
-				return nil
-			})
-			return sb, err
-		}
-		// Batched scan: decode the range in fixed-size chunks into a
-		// reused backing array and evaluate each chunk in one call. The
-		// merge still walks ordinals in order, so the (energy, ordinal)
-		// winner is the sequential one.
-		const chunk = 256
-		dim := sp.Dim()
-		backing := make([]int, chunk*dim)
-		states := make([][]int, chunk)
-		for i := range states {
-			states[i] = backing[i*dim : (i+1)*dim : (i+1)*dim]
-		}
-		energies := make([]float64, chunk)
-		for start := lo; start < hi; start += chunk {
-			end := start + chunk
-			if end > hi {
-				end = hi
+		err := prod.ForEachRange(lo, hi, func(ord int, idx []int) error {
+			e, err := sp.Energy(idx)
+			if err != nil {
+				return err
 			}
-			n := end - start
-			fill := 0
-			if err := prod.ForEachRange(start, end, func(ord int, idx []int) error {
-				copy(states[fill], idx)
-				fill++
-				return nil
-			}); err != nil {
-				return sb, err
-			}
-			if err := bp.EnergyBatch(states[:n], energies[:n]); err != nil {
-				return sb, err
-			}
-			for i := 0; i < n; i++ {
-				merge(&sb, energies[i], start+i)
-			}
-		}
-		return sb, nil
+			merge(&sb, e, ord)
+			return nil
+		})
+		return sb, err
 	}
 
 	shards := search.Shards(size, workers)

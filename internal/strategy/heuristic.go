@@ -38,29 +38,6 @@ func (w *heuristicWorker) Energy(state []int) float64 {
 	return e
 }
 
-// EnergyBatch implements heuristics.BatchProblem, forwarding to the
-// problem's batch path when it has one. Entries are pre-filled with +Inf
-// so a batch that fails mid-way leaves the failed and subsequent entries
-// at the value the sticky-error sequential path would produce; the error
-// itself aborts the whole run through the restart-local sticky error, so
-// the differing already-evaluated prefix is never observed.
-func (w *heuristicWorker) EnergyBatch(states [][]int, out []float64) {
-	out = out[:len(states)]
-	bp, ok := w.p.(BatchProblem)
-	if !ok || w.err != nil {
-		for i, st := range states {
-			out[i] = w.Energy(st)
-		}
-		return
-	}
-	for i := range out {
-		out[i] = math.Inf(1)
-	}
-	if err := bp.EnergyBatch(states, out); err != nil {
-		w.err = err
-	}
-}
-
 // minimizeHeuristic is the shared restart fan-out behind the four
 // heuristic strategies.
 func minimizeHeuristic(name string, p Problem, opt Options, run heuristics.Searcher) (Result, error) {

@@ -62,23 +62,6 @@ type Spaced interface {
 	Levels(i int) int
 }
 
-// BatchProblem is optionally implemented by problems that evaluate a
-// slice of states in one call, amortizing per-call interface and memo
-// overhead. Semantics are exactly the sequential loop: out[i] receives
-// Energy(states[i]) in order, the first error stops the batch and is
-// returned, and effort accounting (memo lookups, evaluator charges)
-// matches calling Energy repeatedly. After an error the out entries at
-// and beyond the failure are untouched; callers must not use out from a
-// failed batch. Strategies probe for it with a type assertion
-// (Exhaustive chunks its ordinal scan, Genetic batches generations) and
-// fall back to the sequential loop.
-type BatchProblem interface {
-	Problem
-	// EnergyBatch writes Energy(states[i]) into out[i];
-	// len(out) >= len(states).
-	EnergyBatch(states [][]int, out []float64) error
-}
-
 // Options configures a strategy run. The zero value is usable.
 type Options struct {
 	// Budget caps the number of energy evaluations each worker spends:
@@ -268,20 +251,6 @@ func (m *memoProblem) Energy(state []int) (float64, error) {
 	return m.smemo.Do(k, func() (float64, error) {
 		return m.Problem.Energy(state)
 	})
-}
-
-// EnergyBatch implements BatchProblem through the memo: identical to the
-// sequential loop (one memo lookup per state, first error stops), with
-// hits served allocation-free.
-func (m *memoProblem) EnergyBatch(states [][]int, out []float64) error {
-	for i, st := range states {
-		e, err := m.Energy(st)
-		if err != nil {
-			return err
-		}
-		out[i] = e
-	}
-	return nil
 }
 
 // spacedMemoProblem additionally forwards Levels, so a memo wrapped
