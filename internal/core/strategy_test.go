@@ -3,8 +3,12 @@ package core
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"hetopt/internal/dna"
+	"hetopt/internal/machine"
+	"hetopt/internal/offload"
+	"hetopt/internal/space"
 	"hetopt/internal/strategy"
 )
 
@@ -136,5 +140,42 @@ func TestPortfolioRunNeverWorseThanPresetSAM(t *testing.T) {
 	}
 	if pf.SearchE > sam.SearchE {
 		t.Fatalf("portfolio (%g) worse than its annealing member alone (%g)", pf.SearchE, sam.SearchE)
+	}
+}
+
+// TestOnePointSchemaTerminates: a schema whose every parameter has one
+// value is valid, and every strategy must return its single state
+// rather than search for moves that do not exist.
+func TestOnePointSchemaTerminates(t *testing.T) {
+	sc, err := space.NewSchema(space.SchemaSpec{
+		HostThreads:      []int{24},
+		HostAffinities:   []machine.Affinity{machine.AffinityScatter},
+		DeviceThreads:    []int{240},
+		DeviceAffinities: []machine.Affinity{machine.AffinityBalanced},
+		Fractions:        []float64{50},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	platform := offload.NewPlatform()
+	inst := &Instance{Schema: sc, Measurer: NewMeasurer(platform, offload.GenomeWorkload(dna.Human))}
+	for _, name := range strategy.Names() {
+		s, err := strategy.Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(SAM, inst, Options{Iterations: 50, Seed: 1, Restarts: 2, Strategy: s})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s did not return on a one-point schema", name)
+		}
 	}
 }

@@ -2,43 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"hetopt/internal/core"
-	"hetopt/internal/heuristics"
 	"hetopt/internal/offload"
 	"hetopt/internal/space"
+	"hetopt/internal/strategy"
 	"hetopt/internal/tables"
 )
-
-// searchProblem adapts the configuration space + an evaluator to the
-// heuristics package's Problem interface.
-type searchProblem struct {
-	schema *space.Schema
-	eval   core.Evaluator
-	err    error
-}
-
-func (p *searchProblem) Dim() int { return p.schema.Space().Dim() }
-
-func (p *searchProblem) Levels(i int) int { return p.schema.Space().Params[i].Levels() }
-
-func (p *searchProblem) Energy(state []int) float64 {
-	if p.err != nil {
-		return math.Inf(1)
-	}
-	cfg, err := p.schema.Config(state)
-	if err != nil {
-		p.err = err
-		return math.Inf(1)
-	}
-	t, err := p.eval.Evaluate(cfg)
-	if err != nil {
-		p.err = err
-		return math.Inf(1)
-	}
-	return t.E()
-}
 
 // HeuristicResult is one row of the explorer comparison.
 type HeuristicResult struct {
@@ -82,8 +52,12 @@ func (s *Suite) HeuristicComparison(w offload.Workload, budget int) ([]Heuristic
 		name string
 		run  func(seed int64) ([]int, error)
 	}
-	problem := func() *searchProblem {
-		return &searchProblem{schema: inst.Schema, eval: inst.Predictor}
+	problem := core.NewSearchProblem(inst.Schema, inst.Predictor, nil, space.StepMove)
+	heuristic := func(st strategy.Strategy) func(seed int64) ([]int, error) {
+		return func(seed int64) ([]int, error) {
+			res, err := st.Minimize(problem, strategy.Options{Budget: budget, Seed: seed})
+			return res.Best, err
+		}
 	}
 	searchers := []searcher{
 		{"simulated-annealing", func(seed int64) ([]int, error) {
@@ -93,50 +67,10 @@ func (s *Suite) HeuristicComparison(w offload.Workload, budget int) ([]Heuristic
 			}
 			return inst.Schema.Index(res.Config)
 		}},
-		{"tabu-search", func(seed int64) ([]int, error) {
-			p := problem()
-			res, err := heuristics.TabuSearch(p, heuristics.TabuOptions{Options: heuristics.Options{Budget: budget, Seed: seed}})
-			if err != nil {
-				return nil, err
-			}
-			if p.err != nil {
-				return nil, p.err
-			}
-			return res.Best, nil
-		}},
-		{"local-search", func(seed int64) ([]int, error) {
-			p := problem()
-			res, err := heuristics.LocalSearch(p, heuristics.Options{Budget: budget, Seed: seed})
-			if err != nil {
-				return nil, err
-			}
-			if p.err != nil {
-				return nil, p.err
-			}
-			return res.Best, nil
-		}},
-		{"genetic-algorithm", func(seed int64) ([]int, error) {
-			p := problem()
-			res, err := heuristics.Genetic(p, heuristics.GeneticOptions{Options: heuristics.Options{Budget: budget, Seed: seed}})
-			if err != nil {
-				return nil, err
-			}
-			if p.err != nil {
-				return nil, p.err
-			}
-			return res.Best, nil
-		}},
-		{"random-search", func(seed int64) ([]int, error) {
-			p := problem()
-			res, err := heuristics.RandomSearch(p, heuristics.Options{Budget: budget, Seed: seed})
-			if err != nil {
-				return nil, err
-			}
-			if p.err != nil {
-				return nil, p.err
-			}
-			return res.Best, nil
-		}},
+		{"tabu-search", heuristic(strategy.Tabu{})},
+		{"local-search", heuristic(strategy.Local{})},
+		{"genetic-algorithm", heuristic(strategy.Genetic{})},
+		{"random-search", heuristic(strategy.Random{})},
 	}
 
 	var out []HeuristicResult

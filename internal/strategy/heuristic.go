@@ -1,79 +1,79 @@
 package strategy
 
 import (
+	"fmt"
 	"math"
-
-	"hetopt/internal/heuristics"
+	"math/rand"
+	"sort"
 )
 
-// The metaheuristic strategies port internal/heuristics — the
-// alternatives the paper weighs against simulated annealing in Section
-// III-A — onto the strategy layer. Each runs K independent restarts
-// (Options.Restarts) through heuristics.SearchMulti with explicit
-// ChainSeed-derived per-restart seeds, sharing a single-flight
-// evaluation memo when K > 1; the best restart wins, ties broken by the
-// lowest index. All of them recombine or mutate states coordinate-wise,
-// so they require Spaced.
+// The metaheuristic strategies are the alternatives the paper weighs
+// against simulated annealing in Section III-A (citing Press et al.:
+// genetic algorithms, local search, tabu search), plus uniform random
+// sampling as the baseline. Each worker spends at most Options.Budget
+// energy evaluations; the fan-out, seeding and winner selection are
+// fanOut's. All of them recombine or mutate states coordinate-wise, so
+// they require Spaced.
 
-// heuristicWorker is one restart's view of the shared problem: it
-// adapts the error-returning strategy.Problem to heuristics.Problem
-// with a restart-local sticky error.
-type heuristicWorker struct {
-	p   Spaced
-	err error
-}
-
-func (w *heuristicWorker) Dim() int         { return w.p.Dim() }
-func (w *heuristicWorker) Levels(i int) int { return w.p.Levels(i) }
-
-func (w *heuristicWorker) Energy(state []int) float64 {
-	if w.err != nil {
-		return math.Inf(1)
-	}
-	e, err := w.p.Energy(state)
-	if err != nil {
-		w.err = err
-		return math.Inf(1)
-	}
-	return e
-}
-
-// minimizeHeuristic is the shared restart fan-out behind the four
-// heuristic strategies.
-func minimizeHeuristic(name string, p Problem, opt Options, run heuristics.Searcher) (Result, error) {
+// minimizeHeuristic validates the product space once, then fans the
+// searcher out over the workers.
+func minimizeHeuristic(name string, p Problem, opt Options, run func(p Spaced, c *counter, rng *rand.Rand) (Result, error)) (Result, error) {
 	sp, err := spacedOrErr(name, p)
 	if err != nil {
 		return Result{}, err
 	}
-	restarts := opt.restarts()
-	eval := sp
-	if restarts > 1 {
-		eval = withMemo(sp).(Spaced)
+	if sp.Dim() <= 0 {
+		return Result{}, fmt.Errorf("strategy: %s: problem dimension must be positive", name)
 	}
-	workers := make([]*heuristicWorker, restarts)
-	res, err := heuristics.SearchMulti(func(i int) heuristics.Problem {
-		workers[i] = &heuristicWorker{p: eval}
-		return workers[i]
-	}, run, heuristics.MultiOptions{
-		Options:     heuristics.Options{Budget: opt.budget(), Seed: opt.Seed},
-		Restarts:    restarts,
-		Parallelism: opt.Parallelism,
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	for _, w := range workers {
-		if w.err != nil {
-			return Result{}, w.err
+	for i := 0; i < sp.Dim(); i++ {
+		if sp.Levels(i) <= 0 {
+			return Result{}, fmt.Errorf("strategy: %s: parameter %d has no levels", name, i)
 		}
 	}
-	return Result{
-		Best:        res.Best,
-		BestEnergy:  res.BestEnergy,
-		Evaluations: res.TotalEvaluations(),
-		Worker:      res.Restart,
-		Workers:     restarts,
-	}, nil
+	return fanOut(sp, opt, func(p Problem, _ int, seed int64) (Result, error) {
+		wp := p.(Spaced) // fanOut's memo preserves Spaced
+		return run(wp, &counter{p: wp, limit: opt.budget()}, rand.New(rand.NewSource(seed)))
+	})
+}
+
+// counter is one worker's budget accounting. The first Energy error is
+// kept and spends the budget, so every search loop stops at once.
+type counter struct {
+	p     Spaced
+	used  int
+	limit int
+	err   error
+}
+
+func (c *counter) spent() bool { return c.used >= c.limit || c.err != nil }
+
+func (c *counter) eval(state []int) (float64, bool) {
+	if c.spent() {
+		return math.Inf(1), false
+	}
+	c.used++
+	e, err := c.p.Energy(state)
+	if err != nil {
+		c.err = err
+		return math.Inf(1), false
+	}
+	return sanitize(e), true
+}
+
+// result closes a worker: its best state, or the Energy error that
+// stopped it.
+func (c *counter) result(best []int, bestE float64) (Result, error) {
+	if c.err != nil {
+		return Result{}, c.err
+	}
+	return Result{Best: best, BestEnergy: bestE, Evaluations: c.used}, nil
+}
+
+// randomState fills dst uniformly.
+func randomState(p Spaced, dst []int, rng *rand.Rand) {
+	for i := range dst {
+		dst[i] = rng.Intn(p.Levels(i))
+	}
 }
 
 // Random is uniform random sampling: the natural lower baseline every
@@ -85,11 +85,31 @@ func (Random) Name() string { return "random" }
 
 // Minimize implements Strategy.
 func (Random) Minimize(p Problem, opt Options) (Result, error) {
-	return minimizeHeuristic("random", p, opt, heuristics.RandomSearch)
+	return minimizeHeuristic("random", p, opt, randomSearch)
 }
 
-// Local is steepest-descent hill climbing with random restarts within
-// each worker's budget.
+func randomSearch(p Spaced, c *counter, rng *rand.Rand) (Result, error) {
+	cur := make([]int, p.Dim())
+	best := make([]int, p.Dim())
+	bestE := math.Inf(1)
+	for !c.spent() {
+		randomState(p, cur, rng)
+		e, ok := c.eval(cur)
+		if !ok {
+			break
+		}
+		if e < bestE {
+			bestE = e
+			copy(best, cur)
+		}
+	}
+	return c.result(best, bestE)
+}
+
+// Local is steepest-descent hill climbing with random restarts: from a
+// random start it repeatedly moves to the best single-parameter change,
+// restarting from a fresh random state at local minima, until the
+// worker's budget is spent.
 type Local struct{}
 
 // Name implements Strategy.
@@ -97,13 +117,72 @@ func (Local) Name() string { return "local" }
 
 // Minimize implements Strategy.
 func (Local) Minimize(p Problem, opt Options) (Result, error) {
-	return minimizeHeuristic("local", p, opt, heuristics.LocalSearch)
+	return minimizeHeuristic("local", p, opt, localSearch)
 }
 
-// Tabu is tabu search with short-term memory and aspiration.
+func localSearch(p Spaced, c *counter, rng *rand.Rand) (Result, error) {
+	cur := make([]int, p.Dim())
+	cand := make([]int, p.Dim())
+	best := make([]int, p.Dim())
+	bestE := math.Inf(1)
+
+	for !c.spent() {
+		randomState(p, cur, rng)
+		curE, ok := c.eval(cur)
+		if !ok {
+			break
+		}
+		if curE < bestE {
+			bestE = curE
+			copy(best, cur)
+		}
+		for { // descend
+			improved := false
+			bestMoveE := curE
+			var bestMoveParam, bestMoveValue int
+			for i := 0; i < p.Dim() && !c.spent(); i++ {
+				for v := 0; v < p.Levels(i); v++ {
+					if v == cur[i] {
+						continue
+					}
+					copy(cand, cur)
+					cand[i] = v
+					e, ok := c.eval(cand)
+					if !ok {
+						break
+					}
+					if e < bestMoveE {
+						bestMoveE = e
+						bestMoveParam, bestMoveValue = i, v
+						improved = true
+					}
+				}
+			}
+			if !improved {
+				break
+			}
+			cur[bestMoveParam] = bestMoveValue
+			curE = bestMoveE
+			if curE < bestE {
+				bestE = curE
+				copy(best, cur)
+			}
+			if c.spent() {
+				break
+			}
+		}
+	}
+	return c.result(best, bestE)
+}
+
+// Tabu is tabu search with a short-term memory: the best sampled
+// non-tabu neighbor is accepted even when worse, reversing a move is
+// tabu for Tenure iterations, and tabu moves are still taken when they
+// beat the global best (aspiration).
 type Tabu struct {
-	// Tenure and Samples tune the tabu memory; zero selects the
-	// heuristics package defaults (2*Dim and 4*Dim).
+	// Tenure is the number of iterations a reversed move stays
+	// forbidden; zero selects 2*Dim. Samples is the number of random
+	// single-parameter moves examined per iteration; zero selects 4*Dim.
 	Tenure, Samples int
 }
 
@@ -112,19 +191,98 @@ func (Tabu) Name() string { return "tabu" }
 
 // Minimize implements Strategy.
 func (t Tabu) Minimize(p Problem, opt Options) (Result, error) {
-	return minimizeHeuristic("tabu", p, opt, func(hp heuristics.Problem, hopt heuristics.Options) (heuristics.Result, error) {
-		return heuristics.TabuSearch(hp, heuristics.TabuOptions{Options: hopt, Tenure: t.Tenure, Samples: t.Samples})
-	})
+	return minimizeHeuristic("tabu", p, opt, t.search)
+}
+
+func (t Tabu) search(p Spaced, c *counter, rng *rand.Rand) (Result, error) {
+	tenure := t.Tenure
+	if tenure <= 0 {
+		tenure = 2 * p.Dim()
+	}
+	samples := t.Samples
+	if samples <= 0 {
+		samples = 4 * p.Dim()
+	}
+
+	cur := make([]int, p.Dim())
+	cand := make([]int, p.Dim())
+	best := make([]int, p.Dim())
+	randomState(p, cur, rng)
+	curE, _ := c.eval(cur)
+	bestE := curE
+	copy(best, cur)
+
+	// A space without a two-level dimension has no moves: its one state
+	// is already evaluated, and sampling moves would never spend budget.
+	movable := false
+	for i := 0; i < p.Dim(); i++ {
+		movable = movable || p.Levels(i) >= 2
+	}
+	if !movable {
+		return c.result(best, bestE)
+	}
+
+	type assignment struct{ param, value int }
+	tabuUntil := map[assignment]int{}
+
+	for iter := 0; !c.spent(); iter++ {
+		type move struct {
+			param, value int
+			energy       float64
+		}
+		chosen := move{param: -1, energy: math.Inf(1)}
+		for s := 0; s < samples && !c.spent(); s++ {
+			i := rng.Intn(p.Dim())
+			if p.Levels(i) < 2 {
+				continue
+			}
+			v := rng.Intn(p.Levels(i) - 1)
+			if v >= cur[i] {
+				v++
+			}
+			copy(cand, cur)
+			cand[i] = v
+			e, ok := c.eval(cand)
+			if !ok {
+				break
+			}
+			// The move back to the current value is what becomes tabu;
+			// moving *to* a tabu assignment is forbidden unless it
+			// aspirates.
+			isTabu := tabuUntil[assignment{i, v}] > iter
+			if isTabu && e >= bestE {
+				continue
+			}
+			if e < chosen.energy {
+				chosen = move{param: i, value: v, energy: e}
+			}
+		}
+		if chosen.param < 0 {
+			continue
+		}
+		// Forbid undoing this move for tenure iterations.
+		tabuUntil[assignment{chosen.param, cur[chosen.param]}] = iter + tenure
+		cur[chosen.param] = chosen.value
+		curE = chosen.energy
+		if curE < bestE {
+			bestE = curE
+			copy(best, cur)
+		}
+	}
+	return c.result(best, bestE)
 }
 
 // Genetic is a generational genetic algorithm with tournament
 // selection, uniform crossover, per-gene mutation and elitism.
 type Genetic struct {
-	// Population, MutationRate and Elite tune the GA; zero selects the
-	// heuristics package defaults (24, 1/Dim, 2).
-	Population   int
+	// Population is the number of individuals; zero selects 24.
+	Population int
+	// MutationRate is the per-gene mutation probability; zero selects
+	// 1/Dim.
 	MutationRate float64
-	Elite        int
+	// Elite is the number of best individuals copied unchanged into the
+	// next generation; zero selects 2.
+	Elite int
 }
 
 // Name implements Strategy.
@@ -132,12 +290,100 @@ func (Genetic) Name() string { return "genetic" }
 
 // Minimize implements Strategy.
 func (g Genetic) Minimize(p Problem, opt Options) (Result, error) {
-	return minimizeHeuristic("genetic", p, opt, func(hp heuristics.Problem, hopt heuristics.Options) (heuristics.Result, error) {
-		return heuristics.Genetic(hp, heuristics.GeneticOptions{
-			Options:      hopt,
-			Population:   g.Population,
-			MutationRate: g.MutationRate,
-			Elite:        g.Elite,
-		})
-	})
+	return minimizeHeuristic("genetic", p, opt, g.search)
+}
+
+func (ga Genetic) search(p Spaced, c *counter, rng *rand.Rand) (Result, error) {
+	pop := ga.Population
+	if pop <= 0 {
+		pop = 24
+	}
+	if pop < 2 {
+		return Result{}, fmt.Errorf("strategy: genetic: population must be at least 2, got %d", pop)
+	}
+	mut := ga.MutationRate
+	if mut == 0 {
+		mut = 1 / float64(p.Dim())
+	}
+	if mut < 0 || mut > 1 {
+		return Result{}, fmt.Errorf("strategy: genetic: mutation rate %g outside [0,1]", mut)
+	}
+	elite := ga.Elite
+	if elite == 0 {
+		elite = 2
+	}
+	if elite < 0 || elite >= pop {
+		return Result{}, fmt.Errorf("strategy: genetic: elite count %d outside [0,%d)", elite, pop)
+	}
+
+	type indiv struct {
+		genes  []int
+		energy float64
+	}
+	population := make([]indiv, pop)
+	for i := range population {
+		g := make([]int, p.Dim())
+		randomState(p, g, rng)
+		e, _ := c.eval(g)
+		population[i] = indiv{genes: g, energy: e}
+	}
+	best := append([]int(nil), population[0].genes...)
+	bestE := population[0].energy
+	record := func(in indiv) {
+		if in.energy < bestE {
+			bestE = in.energy
+			copy(best, in.genes)
+		}
+	}
+	for _, in := range population {
+		record(in)
+	}
+
+	tournament := func() indiv {
+		a := population[rng.Intn(pop)]
+		b := population[rng.Intn(pop)]
+		if a.energy <= b.energy {
+			return a
+		}
+		return b
+	}
+	makeChild := func() []int {
+		ma, pa := tournament(), tournament()
+		child := make([]int, p.Dim())
+		for g := range child {
+			if rng.Intn(2) == 0 {
+				child[g] = ma.genes[g]
+			} else {
+				child[g] = pa.genes[g]
+			}
+			if rng.Float64() < mut {
+				child[g] = rng.Intn(p.Levels(g))
+			}
+		}
+		return child
+	}
+
+	for !c.spent() {
+		// Elitism: carry the best individuals over unchanged.
+		sort.Slice(population, func(i, j int) bool { return population[i].energy < population[j].energy })
+		next := make([]indiv, 0, pop)
+		for i := 0; i < elite; i++ {
+			next = append(next, population[i])
+		}
+		for len(next) < pop && !c.spent() {
+			child := makeChild()
+			e, ok := c.eval(child)
+			if !ok {
+				break
+			}
+			in := indiv{genes: child, energy: e}
+			record(in)
+			next = append(next, in)
+		}
+		if len(next) < pop {
+			break // budget exhausted mid-generation
+		}
+		population = next
+	}
+	return c.result(best, bestE)
 }

@@ -5,8 +5,9 @@
 // SA (genetic algorithms, local search, tabu search, random sampling) —
 // is a Strategy over one shared representation: budgeted, seeded
 // minimization of an energy over integer index vectors, the
-// representation internal/space, internal/anneal and
-// internal/heuristics already share.
+// representation internal/space and internal/exact share. Annealing
+// chains and heuristic restarts run through one fan-out (fanOut), and
+// a worker stops at its first Energy error.
 //
 // Unifying the search layer turns every optimizer x objective x space
 // combination into a first-class scenario: internal/core runs its four
@@ -31,6 +32,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"hetopt/internal/exact"
 	"hetopt/internal/search"
 )
 
@@ -152,6 +154,39 @@ type Strategy interface {
 	Minimize(p Problem, opt Options) (Result, error)
 }
 
+// fanOut runs opt.restarts() independent workers of one search:
+// worker i gets seed search.ChainSeed(opt.Seed, i), and with K > 1 the
+// workers share a single-flight evaluation memo, so a state visited by
+// several workers costs one evaluation (a single worker runs on p
+// directly, without memo overhead). The winner is the lowest best
+// energy, ties broken by the lowest index, so the Result is the same at
+// every Parallelism. Evaluations sums the workers' counts. The error of
+// the lowest failing worker is returned.
+func fanOut(p Problem, opt Options, run func(p Problem, worker int, seed int64) (Result, error)) (Result, error) {
+	workers := opt.restarts()
+	if workers > 1 {
+		p = withMemo(p)
+	}
+	results := make([]Result, workers)
+	err := search.ForEach(workers, opt.Parallelism, func(i int) error {
+		var err error
+		results[i], err = run(p, i, search.ChainSeed(opt.Seed, i))
+		return err
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	out := results[0]
+	for i, r := range results[1:] {
+		out.Evaluations += r.Evaluations
+		if r.BestEnergy < out.BestEnergy {
+			out.Best, out.BestEnergy, out.Worker = r.Best, r.BestEnergy, i+1
+		}
+	}
+	out.Workers = workers
+	return out, nil
+}
+
 // stateKey encodes a state vector as a compact string memo key — the
 // fallback for problems too wide for the allocation-free array key.
 func stateKey(state []int) string {
@@ -259,12 +294,6 @@ type spacedMemoProblem struct{ *memoProblem }
 
 func (m spacedMemoProblem) Levels(i int) int { return m.Problem.(Spaced).Levels(i) }
 
-// lowerBounded matches problems carrying admissible partial-assignment
-// bounds (exact.Bounded without the import).
-type lowerBounded interface {
-	LowerBound(prefix []int, fixed int) float64
-}
-
 // boundedSpacedMemoProblem additionally forwards LowerBound, so the
 // exact strategy still prunes when racing over a shared memo inside
 // Portfolio. It is a distinct type (not a method on the plain memo
@@ -272,7 +301,7 @@ type lowerBounded interface {
 type boundedSpacedMemoProblem struct{ spacedMemoProblem }
 
 func (m boundedSpacedMemoProblem) LowerBound(prefix []int, fixed int) float64 {
-	return m.Problem.(lowerBounded).LowerBound(prefix, fixed)
+	return m.Problem.(exact.Bounded).LowerBound(prefix, fixed)
 }
 
 // withMemo wraps p in a fresh single-flight memo, preserving Spaced
@@ -287,7 +316,7 @@ func withMemo(p Problem) Problem {
 		mp.smemo = search.NewShardedMemo[string, float64](memoShards, hashStateString)
 	}
 	if _, ok := p.(Spaced); ok {
-		if _, ok := p.(lowerBounded); ok {
+		if _, ok := p.(exact.Bounded); ok {
 			return boundedSpacedMemoProblem{spacedMemoProblem{mp}}
 		}
 		return spacedMemoProblem{mp}

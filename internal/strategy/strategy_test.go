@@ -1,12 +1,15 @@
 package strategy
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
 	"testing"
+
+	"hetopt/internal/search"
 )
 
 // bowl is a separable quadratic over a product space with a unique
@@ -262,3 +265,168 @@ func (n *nanProblem) Neighbor(dst, src []int, rng *rand.Rand) {
 	dst[rng.Intn(2)] = rng.Intn(3)
 }
 func (n *nanProblem) Energy(state []int) (float64, error) { return math.NaN(), nil }
+
+// standaloneFanOut runs each of workers standalone, seeded
+// search.ChainSeed(opt.Seed, i), and combines them as the fan-out must:
+// the winner is the lowest energy at the lowest index, and Evaluations
+// sums the workers' efforts. It also returns the per-worker results.
+func standaloneFanOut(t *testing.T, s Strategy, problem func() Problem, opt Options, workers int) (Result, []Result) {
+	t.Helper()
+	var want Result
+	per := make([]Result, workers)
+	evals := 0
+	for i := range per {
+		r, err := s.Minimize(problem(), Options{Budget: opt.Budget, Seed: search.ChainSeed(opt.Seed, i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		per[i] = r
+		evals += r.Evaluations
+		if i == 0 || r.BestEnergy < want.BestEnergy {
+			want = r
+			want.Worker = i
+		}
+	}
+	want.Evaluations, want.Workers = evals, workers
+	return want, per
+}
+
+// TestWorkersMatchStandaloneRuns is the fan-out contract: worker i of a
+// K-worker run is the single-worker run seeded search.ChainSeed(Seed, i)
+// (so worker 0 reproduces a plain run), the winner is the lowest energy
+// at the lowest index, and Evaluations sums the workers' efforts.
+func TestWorkersMatchStandaloneRuns(t *testing.T) {
+	const workers = 4
+	for _, s := range []Strategy{DefaultAnneal(), Genetic{}, Tabu{}, Local{}, Random{}} {
+		opt := Options{Budget: 60, Seed: 12, Restarts: workers, Parallelism: 2}
+		multi, err := s.Minimize(newBowl(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := standaloneFanOut(t, s, func() Problem { return newBowl() }, opt, workers)
+		if !reflect.DeepEqual(want, multi) {
+			t.Errorf("%s: %d-worker run diverged from its standalone workers:\nwant %+v\ngot  %+v", s.Name(), workers, want, multi)
+		}
+	}
+}
+
+// TestAnnealSingleWorkerMatchesMinimize: one annealing chain run
+// through the fan-out (Restarts 1, Parallelism 2) is the plain run.
+func TestAnnealSingleWorkerMatchesMinimize(t *testing.T) {
+	a := Anneal{InitialTemp: 50, StopTemp: 0.01}
+	plain, err := a.Minimize(newBowl(), Options{Budget: 400, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := a.Minimize(newBowl(), Options{Budget: 400, Seed: 9, Restarts: 1, Parallelism: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, one) {
+		t.Fatalf("one chain diverged from the plain run:\nplain %+v\none   %+v", plain, one)
+	}
+	if one.Worker != 0 || one.Workers != 1 {
+		t.Fatalf("chain bookkeeping = %d/%d, want 0/1", one.Worker, one.Workers)
+	}
+}
+
+// TestRestartZeroMatchesSingleRun: for every heuristic, a single
+// restart run through the fan-out is the plain run.
+func TestRestartZeroMatchesSingleRun(t *testing.T) {
+	for _, s := range []Strategy{Genetic{}, Tabu{}, Local{}, Random{}} {
+		plain, err := s.Minimize(newBowl(), Options{Budget: 300, Seed: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := s.Minimize(newBowl(), Options{Budget: 300, Seed: 4, Restarts: 1, Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain, one) {
+			t.Errorf("%s: single restart diverged from the plain run:\nplain %+v\none   %+v", s.Name(), plain, one)
+		}
+		if one.Worker != 0 || one.Workers != 1 {
+			t.Errorf("%s: bookkeeping = %d/%d, want 0/1", s.Name(), one.Worker, one.Workers)
+		}
+	}
+}
+
+// TestAnnealPicksBestChain: on a rugged landscape the chains end at
+// different energies, and the winner is the best of them at the lowest
+// index, with every chain's full budget counted.
+func TestAnnealPicksBestChain(t *testing.T) {
+	const chains, budget = 5, 40
+	problem := func() Problem { return rugged{&bowl{levels: []int{16, 16, 16, 16}, target: []int{5, 2, 9, 11}}} }
+	a := Anneal{InitialTemp: 100, StopTemp: 0.01}
+	res, err := a.Minimize(problem(), Options{Budget: budget, Seed: 11, Restarts: chains})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, per := standaloneFanOut(t, a, problem, Options{Budget: budget, Seed: 11}, chains)
+	distinct := false
+	for i, c := range per {
+		if c.BestEnergy < res.BestEnergy {
+			t.Fatalf("chain %d energy %g beats winner %g", i, c.BestEnergy, res.BestEnergy)
+		}
+		distinct = distinct || c.BestEnergy != per[0].BestEnergy
+	}
+	if !distinct {
+		t.Fatal("every chain ended at the same energy; the landscape does not exercise the pick")
+	}
+	if !reflect.DeepEqual(want, res) {
+		t.Fatalf("winner is not the best chain at the lowest index:\nwant %+v\ngot  %+v", want, res)
+	}
+	if res.Evaluations < chains*budget {
+		t.Fatalf("evaluations = %d, want at least %d", res.Evaluations, chains*budget)
+	}
+}
+
+var errInjected = errors.New("injected evaluator failure")
+
+// failAt fails its k-th Energy call and counts every Energy or
+// Neighbor call made after that failure.
+type failAt struct {
+	*bowl
+	k      int64
+	calls  atomic.Int64
+	failed atomic.Bool
+	after  atomic.Int64
+}
+
+func (f *failAt) Neighbor(dst, src []int, rng *rand.Rand) {
+	if f.failed.Load() {
+		f.after.Add(1)
+	}
+	f.bowl.Neighbor(dst, src, rng)
+}
+
+func (f *failAt) Energy(state []int) (float64, error) {
+	if f.failed.Load() {
+		f.after.Add(1)
+	}
+	if f.calls.Add(1) == f.k {
+		f.failed.Store(true)
+		return 0, errInjected
+	}
+	return f.bowl.Energy(state)
+}
+
+// TestEnergyErrorStopsWorker: a worker returns on its first Energy
+// error. Workers run sequentially here, so the failing worker is the
+// last one to run and nothing may touch the problem after the failure.
+func TestEnergyErrorStopsWorker(t *testing.T) {
+	for _, s := range []Strategy{DefaultAnneal(), Genetic{}, Tabu{}, Local{}, Random{}} {
+		for _, restarts := range []int{1, 4} {
+			for _, k := range []int64{3, 150} {
+				f := &failAt{bowl: newBowl(), k: k}
+				_, err := s.Minimize(f, Options{Budget: 100000, Seed: 1, Restarts: restarts})
+				if !errors.Is(err, errInjected) {
+					t.Errorf("%s/%d/k=%d: error %v, want the injected failure", s.Name(), restarts, k, err)
+				}
+				if n := f.after.Load(); n != 0 {
+					t.Errorf("%s/%d/k=%d: %d calls after the failing Energy call", s.Name(), restarts, k, n)
+				}
+			}
+		}
+	}
+}
