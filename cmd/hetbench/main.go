@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -91,8 +92,8 @@ func validate(repeats, parallel int, strategy, workload, platform string, prove 
 	if poolSize < 0 || poolSize > hetopt.MaxPoolSize {
 		return fmt.Errorf("-pool-size must be in [0,%d], got %d", hetopt.MaxPoolSize, poolSize)
 	}
-	if poolGap < 0 {
-		return fmt.Errorf("-pool-gap must be >= 0, got %g", poolGap)
+	if !(poolGap >= 0) || math.IsInf(poolGap, 1) {
+		return fmt.Errorf("-pool-gap must be finite and >= 0, got %g", poolGap)
 	}
 	if (prove || poolSize != 0 || poolGap != 0) && strategy != "exact" {
 		return fmt.Errorf("-prove, -pool-size and -pool-gap require -strategy exact, got -strategy %q", strategy)

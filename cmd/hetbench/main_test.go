@@ -3,6 +3,7 @@ package main
 import (
 	"hetopt"
 
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,8 +68,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := validate(1, 0, "exact", "", "", false, -1, 0); err == nil || !strings.Contains(err.Error(), "-pool-size") {
 		t.Errorf("negative pool size should fail naming -pool-size, got %v", err)
 	}
-	if err := validate(1, 0, "exact", "", "", false, 0, -0.5); err == nil || !strings.Contains(err.Error(), "-pool-gap") {
-		t.Errorf("negative pool gap should fail naming -pool-gap, got %v", err)
+	for _, gap := range []float64{-0.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := validate(1, 0, "exact", "", "", false, 0, gap); err == nil || !strings.Contains(err.Error(), "-pool-gap") {
+			t.Errorf("pool gap %g should fail naming -pool-gap, got %v", gap, err)
+		}
 	}
 	if err := validate(1, 0, "exact", "", "", true, 4, 0.2); err != nil {
 		t.Errorf("valid exact knobs rejected: %v", err)

@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -70,8 +71,8 @@ func (p *params) validate() error {
 	if p.poolSize < 0 || p.poolSize > hetopt.MaxPoolSize {
 		return fmt.Errorf("-pool-size must be in [0,%d], got %d", hetopt.MaxPoolSize, p.poolSize)
 	}
-	if p.poolGap < 0 {
-		return fmt.Errorf("-pool-gap must be >= 0, got %g", p.poolGap)
+	if !finiteNonNegative(p.poolGap) {
+		return fmt.Errorf("-pool-gap must be finite and >= 0, got %g", p.poolGap)
 	}
 	if (p.prove || p.poolSize != 0 || p.poolGap != 0) && p.strategy != "exact" {
 		return fmt.Errorf("-prove, -pool-size and -pool-gap require -strategy exact, got -strategy %q", p.strategy)
@@ -85,11 +86,14 @@ func (p *params) validate() error {
 	if _, err := hetopt.ScenarioPlatformByName(p.platformName()); err != nil {
 		return fmt.Errorf("-platform: %v", err)
 	}
-	if p.alpha < 0 || p.alpha > 1 {
+	if !(p.alpha >= 0 && p.alpha <= 1) {
 		return fmt.Errorf("-alpha must be in [0,1], got %g", p.alpha)
 	}
-	if p.slack < 0 {
-		return fmt.Errorf("-slack must be >= 0, got %g", p.slack)
+	if !finiteNonNegative(p.slack) {
+		return fmt.Errorf("-slack must be finite and >= 0, got %g", p.slack)
+	}
+	if !finiteNonNegative(p.sizeMB) {
+		return fmt.Errorf("-size must be finite and >= 0 (0 = workload size), got %g", p.sizeMB)
 	}
 	switch p.objective {
 	case "time", "energy", "weighted", "bounded", "":
@@ -98,6 +102,10 @@ func (p *params) validate() error {
 	}
 	return nil
 }
+
+// finiteNonNegative reports whether x is a finite number >= 0; NaN and
+// the infinities fail, matching the serving layer's request validation.
+func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // platformName resolves the effective platform name; the empty value
 // (library-style callers bypassing flag defaults) selects "paper".

@@ -3,6 +3,7 @@ package main
 import (
 	"hetopt"
 
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -101,6 +102,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"negative pool size", func(p *params) { p.strategy = "exact"; p.poolSize = -1 }, "-pool-size"},
 		{"oversized pool", func(p *params) { p.strategy = "exact"; p.poolSize = 1 << 20 }, "-pool-size"},
 		{"negative pool gap", func(p *params) { p.strategy = "exact"; p.poolGap = -0.5 }, "-pool-gap"},
+		{"NaN pool gap", func(p *params) { p.strategy = "exact"; p.poolGap = math.NaN() }, "-pool-gap"},
+		{"infinite pool gap", func(p *params) { p.strategy = "exact"; p.poolGap = math.Inf(1) }, "-pool-gap"},
+		{"NaN alpha", func(p *params) { p.objective = "weighted"; p.alpha = math.NaN() }, "-alpha"},
+		{"NaN slack", func(p *params) { p.objective = "bounded"; p.slack = math.NaN() }, "-slack"},
+		{"infinite slack", func(p *params) { p.objective = "bounded"; p.slack = math.Inf(1) }, "-slack"},
+		{"NaN size", func(p *params) { p.sizeMB = math.NaN() }, "-size"},
+		{"infinite size", func(p *params) { p.sizeMB = math.Inf(1) }, "-size"},
+		{"negative size", func(p *params) { p.sizeMB = -5 }, "-size"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

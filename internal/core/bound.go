@@ -11,7 +11,7 @@ import (
 
 // This file derives admissible lower bounds on the objective of any
 // configuration extending a partially-fixed one — the pruning oracle of
-// the exact branch-and-bound strategy (internal/exact) over divisible
+// the exact branch-and-bound strategy (strategy.Exact) over divisible
 // schemas. The bound is a roofline relaxation of the analytic model
 // (perf.Model): per-side compute time is bounded by the best streaming
 // rate any allowed thread/affinity choice achieves, fixed setup and
@@ -150,7 +150,7 @@ func allowed(prefix []int, fixed, d, levels int) (int, int) {
 	return 0, levels
 }
 
-// LowerBound implements exact.Bounded (via the search problem wrapper):
+// LowerBound implements strategy.Bounded (via the search problem wrapper):
 // an admissible bound on the objective of any configuration whose first
 // `fixed` schema dimensions match prefix. Fixing one more dimension only
 // shrinks the maximized rate sets and the minimized fraction set, so the
@@ -249,7 +249,7 @@ type boundedSearchProblem struct {
 	b *rooflineBounder
 }
 
-// LowerBound implements exact.Bounded.
+// LowerBound implements strategy.Bounded.
 func (p *boundedSearchProblem) LowerBound(prefix []int, fixed int) float64 {
 	return p.b.LowerBound(prefix, fixed)
 }

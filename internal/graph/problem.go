@@ -50,7 +50,7 @@ func (p *PlacementProblem) Energy(state []int) (float64, error) {
 	return p.Sim.Makespan(state), nil
 }
 
-// LowerBound implements exact.Bounded with an admissible bound on the
+// LowerBound implements strategy.Bounded with an admissible bound on the
 // makespan of any placement agreeing with prefix[:fixed] — the pruning
 // rule of the exact branch-and-bound strategy over placement spaces.
 // It is the maximum of two classic DAG relaxations:

@@ -424,7 +424,7 @@ func TestClusterScatterBatch(t *testing.T) {
 // fresh key wins and disarms the single-flight slot; any existing
 // entry — the owner's own compute — wins over a late replica.
 func TestStoreInstall(t *testing.T) {
-	st := NewStoreShards(8, 2)
+	st := newStoreShards(8, 2)
 	res := TuneResult{Method: "SAM", TimeSec: 1.5, EnergyJ: 60}
 	body := []byte(`{"state":"done"}` + "\n")
 	if !st.Install("k1", res, body) {

@@ -78,11 +78,6 @@ type Options struct {
 	// StoreSize bounds the warm-start store (LRU eviction beyond it);
 	// <= 0 means unbounded.
 	StoreSize int
-	// StoreShards is the warm-start store's lock-stripe count; <= 0
-	// selects the default (16, fewer when StoreSize is smaller). A
-	// single shard gives exact global LRU order; more shards spread
-	// concurrent warm hits over independent locks.
-	StoreShards int
 	// JobRetention bounds the job-status registry: beyond it the oldest
 	// completed jobs are forgotten (their GET answers 404; queued and
 	// running jobs are never evicted). <= 0 selects 4096.
@@ -217,13 +212,10 @@ func NewCluster(opt Options) (*Server, error) {
 	if opt.JobRetention <= 0 {
 		opt.JobRetention = 4096
 	}
-	if opt.StoreShards <= 0 {
-		opt.StoreShards = defaultStoreShards
-	}
 	s := &Server{
 		opt:        opt,
 		pool:       NewPool(opt.Workers, opt.QueueSize),
-		store:      NewStoreShards(opt.StoreSize, opt.StoreShards),
+		store:      NewStore(opt.StoreSize),
 		jobs:       map[string]*job{},
 		platforms:  map[string]*platformState{},
 		trained:    map[trainKey]*trainState{},

@@ -63,16 +63,13 @@ const defaultStoreShards = 16
 // the capacity bound is enforced per shard, so the effective bound is
 // capacity rounded down to a multiple of the shard count.
 func NewStore(capacity int) *Store {
-	return NewStoreShards(capacity, defaultStoreShards)
+	return newStoreShards(capacity, defaultStoreShards)
 }
 
-// NewStoreShards is NewStore with an explicit shard count (shards < 1
-// selects 1). A single-shard store enforces exact global LRU order;
-// sharded stores enforce it per stripe.
-func NewStoreShards(capacity, shards int) *Store {
-	if shards < 1 {
-		shards = 1
-	}
+// newStoreShards is NewStore with an explicit, positive shard count. A
+// single-shard store enforces exact global LRU order, which tests use
+// to count evictions exactly; sharded stores enforce it per stripe.
+func newStoreShards(capacity, shards int) *Store {
 	if capacity > 0 && shards > capacity {
 		shards = capacity
 	}

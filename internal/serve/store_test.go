@@ -98,7 +98,7 @@ func TestStoreErrorsNotRetained(t *testing.T) {
 func TestStoreLRUEviction(t *testing.T) {
 	// A single shard gives exact global LRU order; the default sharded
 	// layout enforces the bound per stripe.
-	s := NewStoreShards(2, 1)
+	s := newStoreShards(2, 1)
 	put := func(key string, v float64) {
 		t.Helper()
 		if _, err, _ := s.Do(key, func() (TuneResult, error) { return TuneResult{TimeSec: v}, nil }); err != nil {

@@ -5,9 +5,10 @@
 // SA (genetic algorithms, local search, tabu search, random sampling) —
 // is a Strategy over one shared representation: budgeted, seeded
 // minimization of an energy over integer index vectors, the
-// representation internal/space and internal/exact share. Annealing
-// chains and heuristic restarts run through one fan-out (fanOut), and
-// a worker stops at its first Energy error.
+// representation internal/space shares. Annealing chains and heuristic
+// restarts run through one fan-out (fanOut), and a worker stops at its
+// first Energy error. Exact, a branch-and-bound search, is the one
+// member that proves its answer.
 //
 // Unifying the search layer turns every optimizer x objective x space
 // combination into a first-class scenario: internal/core runs its four
@@ -32,7 +33,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"hetopt/internal/exact"
 	"hetopt/internal/search"
 )
 
@@ -301,7 +301,7 @@ func (m spacedMemoProblem) Levels(i int) int { return m.Problem.(Spaced).Levels(
 type boundedSpacedMemoProblem struct{ spacedMemoProblem }
 
 func (m boundedSpacedMemoProblem) LowerBound(prefix []int, fixed int) float64 {
-	return m.Problem.(exact.Bounded).LowerBound(prefix, fixed)
+	return m.Problem.(Bounded).LowerBound(prefix, fixed)
 }
 
 // withMemo wraps p in a fresh single-flight memo, preserving Spaced
@@ -316,7 +316,7 @@ func withMemo(p Problem) Problem {
 		mp.smemo = search.NewShardedMemo[string, float64](memoShards, hashStateString)
 	}
 	if _, ok := p.(Spaced); ok {
-		if _, ok := p.(exact.Bounded); ok {
+		if _, ok := p.(Bounded); ok {
 			return boundedSpacedMemoProblem{spacedMemoProblem{mp}}
 		}
 		return spacedMemoProblem{mp}
