@@ -24,20 +24,20 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := hetopt.TuneMulti(problem, 3000, 42)
+		res, err := hetopt.TuneMulti(problem, nil, hetopt.SearchOptions{Budget: 3000, Seed: 42})
 		if err != nil {
 			log.Fatal(err)
 		}
-		e := res.Times.E()
+		e := res.E()
 		if n == 1 {
 			oneCard = e
 		}
 		fmt.Printf("%d Phi card(s): E = %.4f s (%.2fx vs 1 card)\n", n, e, oneCard/e)
-		fmt.Printf("  distribution: %s\n", problem.Platform.FormatConfig(res.Config))
-		fmt.Printf("  energy: %.1f J\n", res.Energy.Total())
-		fmt.Printf("  per-unit times: host %.4f s", res.Times.Host)
-		for i, d := range res.Times.Devices {
-			fmt.Printf(", %s %.4f s", problem.Platform.DeviceName(i), d)
+		fmt.Printf("  distribution: %s\n", problem.Platform.FormatSplit(res.Split))
+		fmt.Printf("  energy: %.1f J\n", res.Joules())
+		fmt.Printf("  per-unit times: host %.4f s", res.Times[0])
+		for i, d := range res.Times[1:] {
+			fmt.Printf(", %s %.4f s", problem.Platform.CardName(i), d)
 		}
 		fmt.Println()
 		fmt.Println()

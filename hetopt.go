@@ -77,8 +77,9 @@ type (
 	Affinity = machine.Affinity
 	// Processor describes one processing unit's hardware.
 	Processor = machine.Processor
-	// Platform couples the host and device performance models and
-	// executes (or simulates) runs.
+	// Platform is a host plus K accelerator cards (the paper's has one)
+	// and executes (or simulates) runs; WithCards builds the K-card
+	// platforms the multi-accelerator tuner distributes work over.
 	Platform = offload.Platform
 	// Workload is a divisible input.
 	Workload = offload.Workload
@@ -106,7 +107,7 @@ type (
 	// Options tunes an optimization run.
 	Options = core.Options
 	// Strategy is a pluggable search strategy over the configuration
-	// space (set via Options.Strategy, MultiTuneOptions.Strategy or
+	// space (set via Options.Strategy, TuneMulti's strat argument or
 	// RefineOptions.Strategy; nil keeps the method presets).
 	Strategy = strategy.Strategy
 	// AnnealStrategy is the paper's simulated annealing as an injectable
@@ -155,16 +156,12 @@ type (
 	PerfModel = perf.Model
 	// Calibration collects the performance model's constants.
 	Calibration = perf.Calibration
-	// MultiPlatform is a host plus several accelerators (the paper's
-	// future-work scenario); MultiProblem/MultiConfig/MultiResult tune
-	// work distribution across all of them.
-	MultiPlatform = multi.Platform
-	MultiProblem  = multi.Problem
-	MultiConfig   = multi.Config
-	MultiResult   = multi.Result
-	// MultiTuneOptions configures a parallel multi-accelerator tuning run
-	// (chain count and worker pool).
-	MultiTuneOptions = multi.TuneOptions
+	// MultiProblem/MultiConfig/MultiResult tune work distribution over
+	// a host plus several accelerator cards (the paper's future-work
+	// scenario); MultiConfig is the host + K-card split.
+	MultiProblem = multi.Problem
+	MultiConfig  = offload.Split
+	MultiResult  = multi.Result
 	// DynamicScheduler simulates CoreTsar-style dynamic self-scheduling,
 	// the related-work baseline.
 	DynamicScheduler = dynsched.Scheduler
@@ -218,7 +215,8 @@ type (
 	GraphSim        = graph.Sim
 	PlacementResult = graph.Result
 	// SearchOptions configures a raw strategy-layer search (placement
-	// tuning uses it directly; divisible tuning wraps it in Options).
+	// and multi-accelerator tuning use it directly; divisible tuning
+	// wraps it in Options).
 	SearchOptions = strategy.Options
 )
 
@@ -367,16 +365,12 @@ func MultiPhiProblem(n int, w Workload) (*MultiProblem, error) {
 	return multi.PaperProblem(n, w)
 }
 
-// TuneMulti runs simulated annealing over a multi-accelerator problem.
-func TuneMulti(p *MultiProblem, iterations int, seed int64) (MultiResult, error) {
-	return multi.Tune(p, iterations, seed)
-}
-
-// TuneMultiParallel runs one or more concurrent annealing chains over a
-// multi-accelerator problem; chains share an evaluation cache and the
-// result is identical at every parallelism level for a fixed seed.
-func TuneMultiParallel(p *MultiProblem, opt MultiTuneOptions) (MultiResult, error) {
-	return multi.TuneParallel(p, opt)
+// TuneMulti runs strat (nil: the paper's simulated annealing) over a
+// multi-accelerator problem. opt.Restarts chains share an evaluation
+// cache and the result is identical at every opt.Parallelism for a
+// fixed seed.
+func TuneMulti(p *MultiProblem, strat Strategy, opt SearchOptions) (MultiResult, error) {
+	return multi.Tune(p, strat, opt)
 }
 
 // NewDynamicScheduler returns the dynamic self-scheduling baseline on the

@@ -9,56 +9,31 @@ import (
 	"hetopt/internal/machine"
 	"hetopt/internal/multi"
 	"hetopt/internal/offload"
-	"hetopt/internal/perf"
+	"hetopt/internal/strategy"
 	"hetopt/internal/tables"
 )
 
 // MultiDeviceResult is one row of the multi-accelerator extension: the
-// tuned execution time on a platform with n Phi cards. Distribution is
-// the platform-rendered configuration (device entries labeled with
-// their names).
+// tuned execution time on a platform with n cards. Distribution is the
+// platform-rendered split (card entries labeled with their names).
 type MultiDeviceResult struct {
 	Devices      int
-	Config       multi.Config
+	Split        offload.Split
 	Distribution string
 	E            float64
 }
 
 // multiProblem builds the multi-device tuning problem for n copies of
-// the suite platform's accelerator over the suite schema's value sets.
-// On the paper suite this reproduces multi.PaperProblem exactly (same
-// models, same Table I grids); on a scenario suite the cards, the
-// calibration and the thread grids are the selected platform's.
+// the suite platform's card over the suite schema's value sets. On the
+// paper suite this is multi.PaperProblem exactly; on a scenario suite
+// the cards, the calibration and the thread grids are the selected
+// platform's.
 func (s *Suite) multiProblem(n int, w offload.Workload) (*multi.Problem, error) {
-	// Device names key per-card measurement noise; the Phi keeps the
-	// "phi" prefix so the paper suite's table is bit-identical to the
-	// multi.PaperWithPhis numbers it reproduced before the scenario
-	// layer.
-	prefix := "dev"
-	if strings.Contains(s.Platform.Device().Name, "Phi") {
-		prefix = "phi"
-	}
-	devices := make([]*perf.Model, n)
-	names := make([]string, n)
-	for i := range devices {
-		m := *s.Platform.Model()
-		// Decorrelate per-card noise: same silicon, different card.
-		m.Cal.NoiseSeed ^= uint64(i+1) * 0x9E3779B97F4A7C15
-		devices[i] = &m
-		names[i] = fmt.Sprintf("%s%d", prefix, i)
-	}
-	platform, err := multi.NewPlatform(s.Platform.Model(), names, devices)
+	platform, err := s.Platform.WithCards(n)
 	if err != nil {
 		return nil, err
 	}
-	return &multi.Problem{
-		Platform:         platform,
-		Workload:         w,
-		HostThreads:      s.Schema.HostThreadValues(),
-		HostAffinities:   s.Schema.HostAffinityValues(),
-		DeviceThreads:    s.Schema.DeviceThreadValues(),
-		DeviceAffinities: s.Schema.DeviceAffinityValues(),
-	}, nil
+	return &multi.Problem{Platform: platform, Schema: s.Schema, Workload: w}, nil
 }
 
 // ExtMultiDevice tunes the workload on platforms with 1..maxDevices
@@ -80,8 +55,8 @@ func (s *Suite) ExtMultiDevice(w offload.Workload, maxDevices, iterations int) (
 		for r := 0; r < s.repeats(); r++ {
 			// Two chains per repeat exercise the shared-memo multi-chain
 			// path; Parallelism only spreads them across workers.
-			res, err := multi.TuneParallel(problem, multi.TuneOptions{
-				Iterations:  iterations,
+			res, err := multi.Tune(problem, nil, strategy.Options{
+				Budget:      iterations,
 				Seed:        s.Seed + int64(r),
 				Restarts:    2,
 				Parallelism: s.Parallelism,
@@ -89,14 +64,14 @@ func (s *Suite) ExtMultiDevice(w offload.Workload, maxDevices, iterations int) (
 			if err != nil {
 				return nil, err
 			}
-			if r == 0 || res.Times.E() < bestE {
-				best, bestE = res, res.Times.E()
+			if r == 0 || res.E() < bestE {
+				best, bestE = res, res.E()
 			}
 		}
 		out = append(out, MultiDeviceResult{
 			Devices:      n,
-			Config:       best.Config,
-			Distribution: problem.Platform.FormatConfig(best.Config),
+			Split:        best.Split,
+			Distribution: problem.Platform.FormatSplit(best.Split),
 			E:            bestE,
 		})
 	}
@@ -114,7 +89,7 @@ func RenderMultiDevice(rows []MultiDeviceResult, w offload.Workload) string {
 	for _, r := range rows {
 		dist := r.Distribution
 		if dist == "" {
-			dist = r.Config.String()
+			dist = r.Split.String()
 		}
 		tb.AddRow(fmt.Sprint(r.Devices), tables.F(r.E, 4), tables.F(base/r.E, 2), dist)
 	}

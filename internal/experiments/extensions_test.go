@@ -8,6 +8,7 @@ import (
 	"hetopt/internal/dna"
 	"hetopt/internal/multi"
 	"hetopt/internal/offload"
+	"hetopt/internal/strategy"
 )
 
 func TestExtMultiDeviceScaling(t *testing.T) {
@@ -93,12 +94,12 @@ func TestMultiProblemMatchesPaperOnDefaultSuite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := multi.TuneOptions{Iterations: 300, Seed: 4, Restarts: 2}
-	a, err := multi.TuneParallel(mine, opt)
+	opt := strategy.Options{Budget: 300, Seed: 4, Restarts: 2}
+	a, err := multi.Tune(mine, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := multi.TuneParallel(paper, opt)
+	b, err := multi.Tune(paper, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"hetopt/internal/dna"
-	"hetopt/internal/machine"
 	"hetopt/internal/offload"
+	"hetopt/internal/strategy"
 )
 
 func BenchmarkMeasureTwoPhis(b *testing.B) {
@@ -14,16 +14,10 @@ func BenchmarkMeasureTwoPhis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{
-		Host: Assignment{Threads: 48, Affinity: machine.AffinityScatter, FractionPct: 40},
-		Devices: []Assignment{
-			{Threads: 240, Affinity: machine.AffinityBalanced, FractionPct: 30},
-			{Threads: 240, Affinity: machine.AffinityBalanced, FractionPct: 30},
-		},
-	}
+	s := split40(30, 30)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Platform.Measure(p.Workload, cfg, i); err != nil {
+		if _, err := p.Platform.MeasureSplit(p.Workload, s, i); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -36,7 +30,7 @@ func BenchmarkTuneTwoPhis(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Tune(p, 1000, int64(i)); err != nil {
+		if _, err := Tune(p, nil, strategy.Options{Budget: 1000, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 
 	"hetopt/internal/dna"
 	"hetopt/internal/offload"
+	"hetopt/internal/strategy"
 )
 
 // mfp64 renders a float64 by its exact bit pattern.
@@ -21,13 +22,13 @@ func TestDNAPaperPlatformGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TuneParallel(problem, TuneOptions{Iterations: 400, Seed: 3, Restarts: 2})
+	res, err := Tune(problem, nil, strategy.Options{Budget: 400, Seed: 3, Restarts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := fmt.Sprintf("%s|%s|%s|%s|%s|%d|%d",
-		problem.Platform.FormatConfig(res.Config),
-		mfp64(res.Times.Host), mfp64(res.Energy.Host),
+		problem.Platform.FormatSplit(res.Split),
+		mfp64(res.Times[0]), mfp64(res.Energy[0]),
 		res.Objective, mfp64(res.ObjectiveValue),
 		res.Iterations, res.Chain)
 	const golden = "host 42.5% (48T,none) | phi0 27.5% (240T,scatter) | phi1 30% (240T,balanced)|3fd334169782294c|404e127484dedaf3|time|3fd3717620c08412|800|0"

@@ -1,272 +1,33 @@
-// Package multi extends the paper's optimizer to platforms with several
-// accelerators. The paper evaluates one Xeon Phi but motivates the
-// problem with nodes carrying up to eight accelerators (Section II-A;
-// Tianhe-2 nodes carry three Phis), and the configuration-space
-// formulation (Equation 1) already generalizes: this package adds the
-// multi-device workload split — a fraction vector over host + K devices
-// summing to 100% — the generalized objectives (time = max over all
-// processing units, energy = joules summed over engaged units, plus the
-// weighted and time-bounded trade-offs from internal/core), and a
-// simulated-annealing tuner over the extended space.
+// Package multi tunes work distribution over a host plus K accelerator
+// cards. The paper evaluates one Xeon Phi but motivates the problem with
+// nodes carrying up to eight accelerators (Section II-A; Tianhe-2 nodes
+// carry three Phis), and the configuration-space formulation
+// (Equation 1) generalizes: a fraction vector over host + K cards
+// summing to 100%, scored by the generalized objectives (time = max over
+// all processing units, energy = joules summed over engaged units, plus
+// the weighted and time-bounded trade-offs from internal/core). The
+// platform model, the split and its measurement live in offload
+// (offload.Platform.WithCards, offload.Split); this package keeps only
+// the search problem over the fraction simplex.
 package multi
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"strings"
 
 	"hetopt/internal/core"
-	"hetopt/internal/machine"
 	"hetopt/internal/offload"
-	"hetopt/internal/perf"
+	"hetopt/internal/space"
 	"hetopt/internal/strategy"
 )
 
-// Platform is a host plus K accelerators, each with its own performance
-// model (device models may differ, modeling mixed accelerator
-// generations).
-type Platform struct {
-	host    *perf.Model
-	devices []*perf.Model
-	names   []string
-}
-
-// NewPlatform assembles a multi-accelerator platform. host's device side
-// is ignored; each devices entry contributes its device side.
-func NewPlatform(host *perf.Model, names []string, devices []*perf.Model) (*Platform, error) {
-	if host == nil {
-		return nil, fmt.Errorf("multi: nil host model")
-	}
-	if len(devices) == 0 {
-		return nil, fmt.Errorf("multi: need at least one device")
-	}
-	if len(names) != len(devices) {
-		return nil, fmt.Errorf("multi: %d names for %d devices", len(names), len(devices))
-	}
-	for i, d := range devices {
-		if d == nil {
-			return nil, fmt.Errorf("multi: device %d is nil", i)
-		}
-	}
-	return &Platform{host: host, devices: devices, names: names}, nil
-}
-
-// PaperWithPhis builds the paper's host with n identical Xeon Phi 7120P
-// cards. Each card observes independent measurement noise.
-func PaperWithPhis(n int) (*Platform, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("multi: need at least one Phi, got %d", n)
-	}
-	host := perf.NewPaperModel()
-	devices := make([]*perf.Model, n)
-	names := make([]string, n)
-	for i := range devices {
-		m := perf.NewPaperModel()
-		// Decorrelate per-card noise: same silicon, different card.
-		m.Cal.NoiseSeed ^= uint64(i+1) * 0x9E3779B97F4A7C15
-		devices[i] = m
-		names[i] = fmt.Sprintf("phi%d", i)
-	}
-	return NewPlatform(host, names, devices)
-}
-
-// NumDevices returns the accelerator count.
-func (p *Platform) NumDevices() int { return len(p.devices) }
-
-// DeviceName returns the display name of device i.
-func (p *Platform) DeviceName(i int) string { return p.names[i] }
-
-// Assignment configures one processing unit's share.
-type Assignment struct {
-	// Threads and Affinity configure the unit.
-	Threads  int
-	Affinity machine.Affinity
-	// FractionPct is the percentage of the total workload mapped to the
-	// unit.
-	FractionPct float64
-}
-
-// Config is a complete multi-device system configuration.
-type Config struct {
-	Host    Assignment
-	Devices []Assignment
-}
-
-// Validate checks the fraction simplex and unit counts. The simplex
-// tolerance scales with the number of units: each fraction derived from
-// float arithmetic (e.g. thirds) contributes its own rounding error, so a
-// fixed epsilon would start rejecting valid configurations as K grows.
-func (c Config) Validate(numDevices int) error {
-	if len(c.Devices) != numDevices {
-		return fmt.Errorf("multi: config has %d device assignments for %d devices", len(c.Devices), numDevices)
-	}
-	total := c.Host.FractionPct
-	if c.Host.FractionPct < 0 {
-		return fmt.Errorf("multi: negative host fraction %g", c.Host.FractionPct)
-	}
-	for i, d := range c.Devices {
-		if d.FractionPct < 0 {
-			return fmt.Errorf("multi: negative fraction %g on device %d", d.FractionPct, i)
-		}
-		total += d.FractionPct
-	}
-	tol := 1e-9 * float64(1+len(c.Devices))
-	if math.Abs(total-100) > tol {
-		return fmt.Errorf("multi: fractions sum to %g, want 100", total)
-	}
-	return nil
-}
-
-// String renders the distribution without device names (a bare Config
-// does not know which platform it belongs to), e.g.
-// "host 40% (48T,scatter) | 30% (240T,balanced) | 30% (240T,balanced)".
-// Use Platform.FormatConfig to label each device entry with its name.
-func (c Config) String() string {
-	s := fmt.Sprintf("host %g%% (%dT,%s)", c.Host.FractionPct, c.Host.Threads, c.Host.Affinity)
-	for _, d := range c.Devices {
-		s += fmt.Sprintf(" | %g%% (%dT,%s)", d.FractionPct, d.Threads, d.Affinity)
-	}
-	return s
-}
-
-// FormatConfig renders the distribution with each device entry labeled
-// by its platform name, e.g. "host 40% (48T,scatter) | phi0 30%
-// (240T,balanced) | phi1 30% (240T,balanced)". Extra device entries
-// beyond the platform's count keep an index-based label rather than
-// panicking.
-func (p *Platform) FormatConfig(c Config) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "host %g%% (%dT,%s)", c.Host.FractionPct, c.Host.Threads, c.Host.Affinity)
-	for i, d := range c.Devices {
-		name := fmt.Sprintf("dev%d", i)
-		if i < len(p.names) {
-			name = p.names[i]
-		}
-		fmt.Fprintf(&sb, " | %s %g%% (%dT,%s)", name, d.FractionPct, d.Threads, d.Affinity)
-	}
-	return sb.String()
-}
-
-// Times holds per-unit execution times.
-type Times struct {
-	Host    float64
-	Devices []float64
-}
-
-// E is the generalized time objective: the maximum over all processing
-// units.
-func (t Times) E() float64 {
-	e := t.Host
-	for _, d := range t.Devices {
-		if d > e {
-			e = d
-		}
-	}
-	return e
-}
-
-// Energy holds per-unit energy in joules; units with no work are
-// disengaged and consume nothing.
-type Energy struct {
-	Host    float64
-	Devices []float64
-}
-
-// Total is the generalized energy objective: joules summed over all
-// engaged processing units.
-func (e Energy) Total() float64 {
-	total := e.Host
-	for _, d := range e.Devices {
-		total += d
-	}
-	return total
-}
-
-// Measurement is one evaluated configuration: per-unit times and
-// energies from a single experiment, so any objective can be scored from
-// one cached evaluation.
-type Measurement struct {
-	Times  Times
-	Energy Energy
-}
-
-// E is the time objective of the measurement.
-func (m Measurement) E() float64 { return m.Times.E() }
-
-// Joules is the energy objective of the measurement.
-func (m Measurement) Joules() float64 { return m.Energy.Total() }
-
-// Measure evaluates a configuration on the platform and reports per-unit
-// times.
-func (p *Platform) Measure(w offload.Workload, cfg Config, trial int) (Times, error) {
-	m, err := p.MeasureFull(w, cfg, trial)
-	return m.Times, err
-}
-
-// MeasureFull evaluates a configuration and reports both per-unit times
-// and per-unit energy. Each engaged unit draws active power while its
-// share runs and static power while waiting for the slowest unit.
-func (p *Platform) MeasureFull(w offload.Workload, cfg Config, trial int) (Measurement, error) {
-	if err := w.Validate(); err != nil {
-		return Measurement{}, err
-	}
-	if err := cfg.Validate(p.NumDevices()); err != nil {
-		return Measurement{}, err
-	}
-	traits := w.Traits()
-	hostA := perf.Assignment{
-		SizeMB:   w.SizeMB * cfg.Host.FractionPct / 100,
-		Threads:  cfg.Host.Threads,
-		Affinity: cfg.Host.Affinity,
-	}
-	out := Measurement{
-		Times:  Times{Devices: make([]float64, p.NumDevices())},
-		Energy: Energy{Devices: make([]float64, p.NumDevices())},
-	}
-	if cfg.Host.FractionPct > 0 {
-		t, err := p.host.HostTime(hostA, traits, trial)
-		if err != nil {
-			return Measurement{}, err
-		}
-		out.Times.Host = t
-	}
-	devA := make([]perf.Assignment, len(cfg.Devices))
-	devTraits := make([]perf.Traits, len(cfg.Devices))
-	for i, d := range cfg.Devices {
-		devA[i] = perf.Assignment{
-			SizeMB:   w.SizeMB * d.FractionPct / 100,
-			Threads:  d.Threads,
-			Affinity: d.Affinity,
-		}
-		devTraits[i] = w.Traits()
-		// Per-device noise decorrelation: each card observes its own
-		// perturbations, keyed by the device name.
-		devTraits[i].Name = w.Name + ":" + p.names[i]
-		if d.FractionPct == 0 {
-			continue
-		}
-		t, err := p.devices[i].DeviceTime(devA[i], devTraits[i], trial)
-		if err != nil {
-			return Measurement{}, err
-		}
-		out.Times.Devices[i] = t
-	}
-	makespan := out.Times.E()
-	e, err := p.host.HostEnergy(hostA, traits, trial, out.Times.Host, makespan)
-	if err != nil {
-		return Measurement{}, err
-	}
-	out.Energy.Host = e
-	for i := range cfg.Devices {
-		e, err := p.devices[i].DeviceEnergy(devA[i], devTraits[i], trial, out.Times.Devices[i], makespan)
-		if err != nil {
-			return Measurement{}, err
-		}
-		out.Energy.Devices[i] = e
-	}
-	return out, nil
-}
+const (
+	// fractionUnits is the simplex resolution: 40 units of 2.5%, the
+	// paper's fraction grid.
+	fractionUnits = 40
+	// measureTrial is the measurement noise draw every evaluation uses.
+	measureTrial = 0
+)
 
 // Problem is the multi-device tuning problem. Its state couples the
 // fraction coordinates on a simplex, so it is a strategy.Problem but
@@ -274,24 +35,20 @@ func (p *Platform) MeasureFull(w offload.Workload, cfg Config, trial int) (Measu
 // (annealing, or a portfolio of them) can tune it.
 //
 // State layout: [hostThreadIdx, hostAffIdx,
-// (devThreadIdx, devAffIdx) x K, unit_0 ... unit_K] where unit_i counts
-// FractionUnits-ths of the workload on unit i (index 0 = host) and the
-// unit counts are kept on the simplex by the neighbor move (shifting one
-// unit between two random processors).
+// (cardThreadIdx, cardAffIdx) x K, unit_0 ... unit_K] where unit_i counts
+// fortieths of the workload on unit i (index 0 = host) and the unit
+// counts are kept on the simplex by the neighbor move (shifting one unit
+// between two random processors).
 type Problem struct {
-	// Platform and Workload define the measurement.
-	Platform *Platform
+	// Platform is the host plus K cards, e.g. from
+	// offload.Platform.WithCards.
+	Platform *offload.Platform
+	// Schema supplies the host and card thread and affinity levels
+	// (every card shares the device levels); its fraction grid is
+	// unused, the simplex has its own.
+	Schema *space.Schema
+	// Workload is the divisible input to distribute.
 	Workload offload.Workload
-	// Value sets (Table I style).
-	HostThreads      []int
-	HostAffinities   []machine.Affinity
-	DeviceThreads    []int
-	DeviceAffinities []machine.Affinity
-	// FractionUnits is the simplex resolution; 40 yields the paper's
-	// 2.5% grid. Zero selects 40.
-	FractionUnits int
-	// Trial selects the measurement noise draw.
-	Trial int
 	// Objective selects what tuning minimizes: nil or core.TimeObjective
 	// is the generalized makespan (max over units), core.EnergyObjective
 	// the total joules over engaged units, and the weighted/bounded
@@ -299,51 +56,44 @@ type Problem struct {
 	Objective core.Objective
 }
 
-func (p *Problem) units() int {
-	if p.FractionUnits <= 0 {
-		return 40
-	}
-	return p.FractionUnits
-}
-
 // Validate checks the problem definition.
 func (p *Problem) Validate() error {
 	if p.Platform == nil {
 		return fmt.Errorf("multi: problem needs a platform")
 	}
-	if err := p.Workload.Validate(); err != nil {
-		return err
+	if p.Schema == nil {
+		return fmt.Errorf("multi: problem needs a schema")
 	}
-	if len(p.HostThreads) == 0 || len(p.HostAffinities) == 0 ||
-		len(p.DeviceThreads) == 0 || len(p.DeviceAffinities) == 0 {
-		return fmt.Errorf("multi: empty value set in problem definition")
-	}
-	return nil
+	return p.Workload.Validate()
 }
 
 // layout helpers.
-func (p *Problem) numDevices() int { return p.Platform.NumDevices() }
-func (p *Problem) unitBase() int   { return 2 + 2*p.numDevices() }
+func (p *Problem) numCards() int { return p.Platform.NumCards() }
+func (p *Problem) unitBase() int { return 2 + 2*p.numCards() }
+
+// levels returns the level count of one schema parameter
+// (space.ParamHostThreads .. space.ParamDeviceAffinity).
+func (p *Problem) levels(param int) int { return p.Schema.Space().Params[param].Levels() }
 
 // Dim returns the state-vector length.
-func (p *Problem) Dim() int { return p.unitBase() + p.numDevices() + 1 }
+func (p *Problem) Dim() int { return p.unitBase() + p.numCards() + 1 }
 
 // Initial writes a random starting state: random parameters and a
 // random composition of the fraction units.
 func (p *Problem) Initial(dst []int, rng *rand.Rand) {
-	dst[0] = rng.Intn(len(p.HostThreads))
-	dst[1] = rng.Intn(len(p.HostAffinities))
-	for d := 0; d < p.numDevices(); d++ {
-		dst[2+2*d] = rng.Intn(len(p.DeviceThreads))
-		dst[3+2*d] = rng.Intn(len(p.DeviceAffinities))
+	dst[0] = rng.Intn(p.levels(space.ParamHostThreads))
+	dst[1] = rng.Intn(p.levels(space.ParamHostAffinity))
+	for d := 0; d < p.numCards(); d++ {
+		dst[2+2*d] = rng.Intn(p.levels(space.ParamDeviceThreads))
+		dst[3+2*d] = rng.Intn(p.levels(space.ParamDeviceAffinity))
 	}
 	// Random composition: drop each unit into a uniformly random bin.
 	base := p.unitBase()
-	for i := 0; i <= p.numDevices(); i++ {
+	for i := 0; i <= p.numCards(); i++ {
 		dst[base+i] = 0
 	}
-	for u := 0; u < p.units(); u++ {
-		dst[base+rng.Intn(p.numDevices()+1)]++
+	for u := 0; u < fractionUnits; u++ {
+		dst[base+rng.Intn(p.numCards()+1)]++
 	}
 }
 
@@ -354,20 +104,14 @@ func (p *Problem) Neighbor(dst, src []int, rng *rand.Rand) {
 	copy(dst, src)
 	base := p.unitBase()
 	if rng.Intn(2) == 0 {
-		// Parameter move.
+		// Parameter move. Positions 0 and 1 are the host's parameters;
+		// every card pair maps onto the device parameters.
 		which := rng.Intn(base)
-		var levels int
-		switch {
-		case which == 0:
-			levels = len(p.HostThreads)
-		case which == 1:
-			levels = len(p.HostAffinities)
-		case (which-2)%2 == 0:
-			levels = len(p.DeviceThreads)
-		default:
-			levels = len(p.DeviceAffinities)
+		param := which
+		if which >= 2 {
+			param = space.ParamDeviceThreads + which%2
 		}
-		if levels > 1 {
+		if levels := p.levels(param); levels > 1 {
 			nv := rng.Intn(levels - 1)
 			if nv >= dst[which] {
 				nv++
@@ -377,7 +121,7 @@ func (p *Problem) Neighbor(dst, src []int, rng *rand.Rand) {
 		return
 	}
 	// Fraction move: one unit from a non-empty bin to another bin.
-	n := p.numDevices() + 1
+	n := p.numCards() + 1
 	from := rng.Intn(n)
 	for tries := 0; dst[base+from] == 0 && tries < 2*n; tries++ {
 		from = rng.Intn(n)
@@ -393,28 +137,25 @@ func (p *Problem) Neighbor(dst, src []int, rng *rand.Rand) {
 	dst[base+to]++
 }
 
-// Decode converts a state vector into a typed Config.
-func (p *Problem) Decode(state []int) (Config, error) {
+// Decode converts a state vector into a typed split. Each card's
+// parameters decode through the schema's device view.
+func (p *Problem) Decode(state []int) (offload.Split, error) {
 	if len(state) != p.Dim() {
-		return Config{}, fmt.Errorf("multi: state has %d entries, want %d", len(state), p.Dim())
+		return offload.Split{}, fmt.Errorf("multi: state has %d entries, want %d", len(state), p.Dim())
 	}
 	base := p.unitBase()
-	unitPct := 100 / float64(p.units())
-	cfg := Config{
-		Host: Assignment{
-			Threads:     p.HostThreads[state[0]],
-			Affinity:    p.HostAffinities[state[1]],
-			FractionPct: float64(state[base]) * unitPct,
-		},
+	const unitPct = 100 / float64(fractionUnits)
+	s := offload.Split{Cards: make([]offload.Share, p.numCards())}
+	for d := range s.Cards {
+		// Each card's view also carries the host's parameters.
+		cfg, err := p.Schema.Config([]int{state[0], state[1], state[2+2*d], state[3+2*d], 0})
+		if err != nil {
+			return offload.Split{}, err
+		}
+		s.Host = offload.Share{Threads: cfg.HostThreads, Affinity: cfg.HostAffinity, FractionPct: float64(state[base]) * unitPct}
+		s.Cards[d] = offload.Share{Threads: cfg.DeviceThreads, Affinity: cfg.DeviceAffinity, FractionPct: float64(state[base+1+d]) * unitPct}
 	}
-	for d := 0; d < p.numDevices(); d++ {
-		cfg.Devices = append(cfg.Devices, Assignment{
-			Threads:     p.DeviceThreads[state[2+2*d]],
-			Affinity:    p.DeviceAffinities[state[3+2*d]],
-			FractionPct: float64(state[base+1+d]) * unitPct,
-		})
-	}
-	return cfg, nil
+	return s, nil
 }
 
 // objective returns the problem's objective, defaulting to the
@@ -426,35 +167,34 @@ func (p *Problem) objective() core.Objective {
 	return p.Objective
 }
 
-// Energy implements strategy.Problem by measuring the decoded
-// configuration and scoring it under the problem's objective.
-// Measurement is a pure function of the state and trial, so the
-// strategy layer's shared memo (installed for multi-worker runs) never
-// changes a value, only the physical effort spent.
+// Energy implements strategy.Problem by measuring the decoded split and
+// scoring it under the problem's objective. Measurement is a pure
+// function of the state, so the strategy layer's shared memo (installed
+// for multi-worker runs) never changes a value, only the physical
+// effort spent.
 func (p *Problem) Energy(state []int) (float64, error) {
-	cfg, err := p.Decode(state)
+	s, err := p.Decode(state)
 	if err != nil {
 		return 0, err
 	}
-	t, err := p.Platform.MeasureFull(p.Workload, cfg, p.Trial)
+	m, err := p.Platform.MeasureSplit(p.Workload, s, measureTrial)
 	if err != nil {
 		return 0, err
 	}
-	return p.objective().Value(t.E(), t.Joules()), nil
+	return p.objective().Value(m.E(), m.Joules()), nil
 }
 
-// Result is the outcome of a multi-device tuning run.
+// Result is the outcome of a multi-device tuning run: the best split
+// and its final measurement (per-unit times and energies, host first).
 type Result struct {
-	Config Config
-	Times  Times
-	// Energy is the per-unit energy of the final measurement.
-	Energy Energy
+	Split offload.Split
+	offload.SplitMeasurement
 	// Objective names the objective tuning minimized and ObjectiveValue
 	// is its value on the final measurement.
 	Objective      string
 	ObjectiveValue float64
 	// Iterations counts search steps beyond each worker's initialization
-	// (annealing candidates summed over chains; for an injected strategy,
+	// (annealing candidates summed over chains; for another strategy,
 	// its evaluation total minus one initial evaluation per worker).
 	Iterations int
 	// Chain is the index of the winning search worker (the annealing
@@ -462,94 +202,49 @@ type Result struct {
 	Chain int
 }
 
-// TuneOptions configures a TuneParallel run.
-type TuneOptions struct {
-	// Iterations is the per-worker candidate budget. Zero selects 2000.
-	Iterations int
-	// Seed is the base seed; worker i derives search.ChainSeed(Seed, i).
-	Seed int64
-	// Restarts is the number of independent search workers (annealing
-	// chains for the default strategy). Zero or one runs a single
-	// worker, reproducing Tune exactly.
-	Restarts int
-	// Parallelism caps the number of workers searching concurrently. The
-	// result is identical at any parallelism level.
-	Parallelism int
-	// Strategy injects the search strategy. Nil selects the annealing
-	// preset (InitialTemp 5, StopTemp 5e-4, the multi-device schedule).
-	// The multi-device state couples the fraction simplex, so only
-	// Initial/Neighbor-driven strategies apply — strategy.Anneal, or a
-	// strategy.Portfolio of such members; product-space strategies
-	// (exhaustive, genetic, tabu, local, random) fail with an error.
-	Strategy strategy.Strategy
-}
-
-// Tune runs simulated annealing over the multi-device space and returns
-// the best configuration with its measurement.
-func Tune(p *Problem, iterations int, seed int64) (Result, error) {
-	return TuneParallel(p, TuneOptions{Iterations: iterations, Seed: seed})
-}
-
-// TuneParallel runs a search strategy — one or more simulated-annealing
-// chains by default — over the multi-device space and returns the best
-// configuration with its measurement. Workers share a memoizing
-// evaluation cache, so states visited by several workers are measured
-// once. For fixed (Seed, Restarts, Strategy) the result is
-// bit-identical at every Parallelism level.
-func TuneParallel(p *Problem, opt TuneOptions) (Result, error) {
+// Tune runs strat over the simplex and returns the best split with its
+// measurement; nil strat is the paper's annealing, strategy.Anneal{}.
+// The simplex couples its fraction coordinates, so only
+// Initial/Neighbor-driven strategies apply (Anneal, or a Portfolio of
+// such members); product-space strategies fail with an error. opt
+// carries the per-worker budget, seed, worker count and parallelism;
+// the result is bit-identical at every opt.Parallelism.
+func Tune(p *Problem, strat strategy.Strategy, opt strategy.Options) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	iterations := opt.Iterations
-	if iterations <= 0 {
-		iterations = 2000
-	}
-	strat := opt.Strategy
 	if strat == nil {
-		strat = strategy.Anneal{InitialTemp: 5, StopTemp: 5e-4}
+		strat = strategy.Anneal{}
 	}
-	res, err := strat.Minimize(p, strategy.Options{
-		Budget:      iterations,
-		Seed:        opt.Seed,
-		Restarts:    opt.Restarts,
-		Parallelism: opt.Parallelism,
-	})
+	res, err := strat.Minimize(p, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	cfg, err := p.Decode(res.Best)
+	s, err := p.Decode(res.Best)
 	if err != nil {
 		return Result{}, err
 	}
-	meas, err := p.Platform.MeasureFull(p.Workload, cfg, p.Trial)
+	m, err := p.Platform.MeasureSplit(p.Workload, s, measureTrial)
 	if err != nil {
 		return Result{}, err
 	}
 	obj := p.objective()
 	return Result{
-		Config:         cfg,
-		Times:          meas.Times,
-		Energy:         meas.Energy,
-		Objective:      obj.Name(),
-		ObjectiveValue: obj.Value(meas.E(), meas.Joules()),
-		Iterations:     res.Evaluations - res.Workers,
-		Chain:          res.Worker,
+		Split:            s,
+		SplitMeasurement: m,
+		Objective:        obj.Name(),
+		ObjectiveValue:   obj.Value(m.E(), m.Joules()),
+		Iterations:       res.Evaluations - res.Workers,
+		Chain:            res.Worker,
 	}, nil
 }
 
 // PaperProblem builds the multi-device tuning problem over the paper's
-// Table I value sets for a platform with n Phi cards.
+// value sets (space.PaperSchema) for its host with n Phi cards.
 func PaperProblem(n int, w offload.Workload) (*Problem, error) {
-	platform, err := PaperWithPhis(n)
+	platform, err := offload.NewPlatform().WithCards(n)
 	if err != nil {
 		return nil, err
 	}
-	return &Problem{
-		Platform:         platform,
-		Workload:         w,
-		HostThreads:      []int{2, 6, 12, 24, 36, 48},
-		HostAffinities:   []machine.Affinity{machine.AffinityNone, machine.AffinityScatter, machine.AffinityCompact},
-		DeviceThreads:    []int{2, 4, 8, 16, 30, 60, 120, 180, 240},
-		DeviceAffinities: []machine.Affinity{machine.AffinityBalanced, machine.AffinityScatter, machine.AffinityCompact},
-	}, nil
+	return &Problem{Platform: platform, Schema: space.PaperSchema(), Workload: w}, nil
 }

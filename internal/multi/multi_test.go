@@ -10,50 +10,61 @@ import (
 	"hetopt/internal/machine"
 	"hetopt/internal/offload"
 	"hetopt/internal/perf"
+	"hetopt/internal/space"
+	"hetopt/internal/strategy"
 )
 
-func quietProblem(t *testing.T, nPhis int) *Problem {
+// quietProblem is PaperProblem on a noiseless paper model: WithCards
+// copies the model, so every card is quiet too.
+func quietProblem(t testing.TB, nPhis int) *Problem {
 	t.Helper()
-	p, err := PaperProblem(nPhis, offload.GenomeWorkload(dna.Human))
+	m := perf.NewPaperModel()
+	m.Cal.NoiseStdHost = 0
+	m.Cal.NoiseStdDevice = 0
+	platform, err := offload.NewPlatformWithModel(m).WithCards(nPhis)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Platform.host.Cal.NoiseStdHost = 0
-	p.Platform.host.Cal.NoiseStdDevice = 0
-	for _, d := range p.Platform.devices {
-		d.Cal.NoiseStdHost = 0
-		d.Cal.NoiseStdDevice = 0
+	return &Problem{Platform: platform, Schema: space.PaperSchema(), Workload: offload.GenomeWorkload(dna.Human)}
+}
+
+// tune runs the default annealer.
+func tune(t testing.TB, p *Problem, opt strategy.Options) Result {
+	t.Helper()
+	res, err := Tune(p, nil, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return p
+	return res
+}
+
+// split40 is host 40% (48T,scatter) plus the given card shares at
+// 240T balanced.
+func split40(cards ...float64) offload.Split {
+	s := offload.Split{Host: offload.Share{Threads: 48, Affinity: machine.AffinityScatter, FractionPct: 40}}
+	for _, f := range cards {
+		s.Cards = append(s.Cards, offload.Share{Threads: 240, Affinity: machine.AffinityBalanced, FractionPct: f})
+	}
+	return s
 }
 
 func TestNewPlatformValidation(t *testing.T) {
-	if _, err := NewPlatform(nil, nil, nil); err == nil {
-		t.Error("nil host should fail")
-	}
-	if _, err := NewPlatform(perf.NewPaperModel(), nil, nil); err == nil {
-		t.Error("no devices should fail")
-	}
-	if _, err := NewPlatform(perf.NewPaperModel(), []string{"a"}, []*perf.Model{perf.NewPaperModel(), perf.NewPaperModel()}); err == nil {
-		t.Error("name/device mismatch should fail")
-	}
-	if _, err := NewPlatform(perf.NewPaperModel(), []string{"a"}, []*perf.Model{nil}); err == nil {
-		t.Error("nil device should fail")
-	}
-	if _, err := PaperWithPhis(0); err == nil {
-		t.Error("zero Phis should fail")
+	for _, n := range []int{0, -1} {
+		if _, err := offload.NewPlatform().WithCards(n); err == nil {
+			t.Errorf("%d cards should fail", n)
+		}
+		if _, err := PaperProblem(n, offload.GenomeWorkload(dna.Human)); err == nil {
+			t.Errorf("paper problem with %d Phis should fail", n)
+		}
 	}
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := Config{
-		Host:    Assignment{Threads: 48, Affinity: machine.AffinityScatter, FractionPct: 40},
-		Devices: []Assignment{{Threads: 240, Affinity: machine.AffinityBalanced, FractionPct: 60}},
-	}
+	good := split40(60)
 	if err := good.Validate(1); err != nil {
 		t.Fatal(err)
 	}
-	bad := good
+	bad := split40(60)
 	bad.Host.FractionPct = 50 // sums to 110
 	if err := bad.Validate(1); err == nil {
 		t.Error("bad simplex should fail")
@@ -61,9 +72,8 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(2); err == nil {
 		t.Error("wrong device count should fail")
 	}
-	neg := good
+	neg := split40(110)
 	neg.Host.FractionPct = -10
-	neg.Devices[0].FractionPct = 110
 	if err := neg.Validate(1); err == nil {
 		t.Error("negative fraction should fail")
 	}
@@ -71,25 +81,19 @@ func TestConfigValidate(t *testing.T) {
 
 func TestMeasureTwoPhis(t *testing.T) {
 	p := quietProblem(t, 2)
-	cfg := Config{
-		Host: Assignment{Threads: 48, Affinity: machine.AffinityScatter, FractionPct: 40},
-		Devices: []Assignment{
-			{Threads: 240, Affinity: machine.AffinityBalanced, FractionPct: 30},
-			{Threads: 240, Affinity: machine.AffinityBalanced, FractionPct: 30},
-		},
-	}
-	times, err := p.Platform.Measure(p.Workload, cfg, 0)
+	m, err := p.Platform.MeasureSplit(p.Workload, split40(30, 30), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if times.Host <= 0 || times.Devices[0] <= 0 || times.Devices[1] <= 0 {
+	times := m.Times
+	if times[0] <= 0 || times[1] <= 0 || times[2] <= 0 {
 		t.Fatalf("times = %+v", times)
 	}
 	// Identical noiseless cards with identical shares take identical time.
-	if times.Devices[0] != times.Devices[1] {
-		t.Fatalf("identical quiet cards diverge: %g vs %g", times.Devices[0], times.Devices[1])
+	if times[1] != times[2] {
+		t.Fatalf("identical quiet cards diverge: %g vs %g", times[1], times[2])
 	}
-	if times.E() < times.Host || times.E() < times.Devices[0] {
+	if m.E() < times[0] || m.E() < times[1] {
 		t.Fatal("E must be the maximum")
 	}
 }
@@ -99,78 +103,64 @@ func TestPerCardNoiseIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Host: Assignment{Threads: 48, Affinity: machine.AffinityScatter, FractionPct: 40},
-		Devices: []Assignment{
-			{Threads: 240, Affinity: machine.AffinityBalanced, FractionPct: 30},
-			{Threads: 240, Affinity: machine.AffinityBalanced, FractionPct: 30},
-		},
-	}
-	times, err := p.Platform.Measure(p.Workload, cfg, 0)
+	m, err := p.Platform.MeasureSplit(p.Workload, split40(30, 30), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if times.Devices[0] == times.Devices[1] {
+	if m.Times[1] == m.Times[2] {
 		t.Fatal("noisy identical cards should observe independent noise")
 	}
 }
 
 func TestTuneTwoPhisBeatsOne(t *testing.T) {
-	one := quietProblem(t, 1)
-	two := quietProblem(t, 2)
-	resOne, err := Tune(one, 2500, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resTwo, err := Tune(two, 2500, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resTwo.Times.E() >= resOne.Times.E() {
-		t.Fatalf("two Phis (%g) should beat one (%g)", resTwo.Times.E(), resOne.Times.E())
+	resOne := tune(t, quietProblem(t, 1), strategy.Options{Budget: 2500, Seed: 1})
+	resTwo := tune(t, quietProblem(t, 2), strategy.Options{Budget: 2500, Seed: 1})
+	if resTwo.E() >= resOne.E() {
+		t.Fatalf("two Phis (%g) should beat one (%g)", resTwo.E(), resOne.E())
 	}
 	// The second card must actually receive work.
 	work := 0.0
-	for _, d := range resTwo.Config.Devices {
+	for _, d := range resTwo.Split.Cards {
 		if d.FractionPct > 0 {
 			work++
 		}
 	}
 	if work < 2 {
-		t.Fatalf("tuner left a card idle: %v", resTwo.Config)
+		t.Fatalf("tuner left a card idle: %v", resTwo.Split)
 	}
 }
 
 func TestTuneConfigOnSimplex(t *testing.T) {
-	p := quietProblem(t, 3)
-	res, err := Tune(p, 1500, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Config.Validate(3); err != nil {
-		t.Fatalf("tuned config invalid: %v (%v)", err, res.Config)
+	res := tune(t, quietProblem(t, 3), strategy.Options{Budget: 1500, Seed: 7})
+	if err := res.Split.Validate(3); err != nil {
+		t.Fatalf("tuned config invalid: %v (%v)", err, res.Split)
 	}
 	if res.Iterations != 1500 {
 		t.Fatalf("iterations = %d", res.Iterations)
 	}
-	if !strings.Contains(res.Config.String(), "host") {
+	if !strings.Contains(res.Split.String(), "host") {
 		t.Error("config string malformed")
 	}
 }
 
 func TestProblemValidate(t *testing.T) {
 	p := quietProblem(t, 1)
-	p.HostThreads = nil
+	p.Schema = nil
 	if err := p.Validate(); err == nil {
-		t.Error("empty host threads should fail")
+		t.Error("missing schema should fail")
 	}
-	if _, err := Tune(&Problem{}, 10, 1); err == nil {
+	p = quietProblem(t, 1)
+	p.Workload.SizeMB = 0
+	if err := p.Validate(); err == nil {
+		t.Error("empty workload should fail")
+	}
+	if _, err := Tune(&Problem{}, nil, strategy.Options{Budget: 10, Seed: 1}); err == nil {
 		t.Error("empty problem should fail")
 	}
 }
 
 // Property: Initial and Neighbor preserve the simplex invariant (unit
-// counts are non-negative and sum to FractionUnits) and keep indices in
+// counts are non-negative and sum to fractionUnits) and keep indices in
 // range.
 func TestSimplexInvariantProperty(t *testing.T) {
 	p := quietProblem(t, 2)
@@ -189,14 +179,14 @@ func TestSimplexInvariantProperty(t *testing.T) {
 			}
 			sum += state[i]
 		}
-		if sum != p.units() {
+		if sum != fractionUnits {
 			return false
 		}
-		cfg, err := p.Decode(state)
+		s, err := p.Decode(state)
 		if err != nil {
 			return false
 		}
-		return cfg.Validate(2) == nil
+		return s.Validate(2) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -207,5 +197,11 @@ func TestDecodeLengthChecked(t *testing.T) {
 	p := quietProblem(t, 1)
 	if _, err := p.Decode([]int{0}); err == nil {
 		t.Error("short state should fail")
+	}
+	// An out-of-range level index fails instead of panicking.
+	state := make([]int, p.Dim())
+	state[0] = 99
+	if _, err := p.Decode(state); err == nil {
+		t.Error("out-of-range thread index should fail")
 	}
 }

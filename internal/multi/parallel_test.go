@@ -8,32 +8,27 @@ import (
 	"hetopt/internal/strategy"
 )
 
+// TestTuneParallelSingleChainMatchesTune: a nil strategy is the
+// annealing preset {InitialTemp 5, StopTemp 5e-4}, bit for bit.
 func TestTuneParallelSingleChainMatchesTune(t *testing.T) {
-	a, err := Tune(quietProblem(t, 2), 800, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := TuneParallel(quietProblem(t, 2), TuneOptions{Iterations: 800, Seed: 3})
+	a := tune(t, quietProblem(t, 2), strategy.Options{Budget: 800, Seed: 3})
+	b, err := Tune(quietProblem(t, 2), strategy.Anneal{InitialTemp: 5, StopTemp: 5e-4}, strategy.Options{Budget: 800, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("single-chain TuneParallel diverged from Tune:\n%+v\n%+v", a, b)
+		t.Fatalf("nil strategy diverged from the annealing preset:\n%+v\n%+v", a, b)
 	}
 }
 
 func TestTuneParallelDeterministicAcrossParallelism(t *testing.T) {
 	run := func(parallelism int) Result {
-		res, err := TuneParallel(quietProblem(t, 2), TuneOptions{
-			Iterations:  500,
+		return tune(t, quietProblem(t, 2), strategy.Options{
+			Budget:      500,
 			Seed:        9,
 			Restarts:    4,
 			Parallelism: parallelism,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
 	}
 	want := run(1)
 	for _, p := range []int{4, 8} {
@@ -52,7 +47,7 @@ func TestTuneParallelDeterministicAcrossParallelism(t *testing.T) {
 // portfolio of annealing schedules) tune it deterministically at every
 // parallelism level.
 func TestTuneParallelInjectedStrategy(t *testing.T) {
-	_, err := TuneParallel(quietProblem(t, 2), TuneOptions{Iterations: 50, Strategy: strategy.Genetic{}})
+	_, err := Tune(quietProblem(t, 2), strategy.Genetic{}, strategy.Options{Budget: 50})
 	if err == nil || !strings.Contains(err.Error(), "product-space") {
 		t.Fatalf("genetic on the simplex should fail naming the requirement, got %v", err)
 	}
@@ -62,12 +57,11 @@ func TestTuneParallelInjectedStrategy(t *testing.T) {
 		strategy.Anneal{InitialTemp: 50, StopTemp: 5e-3},
 	}}
 	run := func(parallelism int) Result {
-		res, err := TuneParallel(quietProblem(t, 2), TuneOptions{
-			Iterations:  300,
+		res, err := Tune(quietProblem(t, 2), pf, strategy.Options{
+			Budget:      300,
 			Seed:        4,
 			Restarts:    2,
 			Parallelism: parallelism,
-			Strategy:    pf,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -80,24 +74,18 @@ func TestTuneParallelInjectedStrategy(t *testing.T) {
 			t.Fatalf("parallelism %d diverged:\nwant %+v\ngot  %+v", p, want, got)
 		}
 	}
-	if err := want.Config.Validate(2); err != nil {
+	if err := want.Split.Validate(2); err != nil {
 		t.Fatalf("winning config invalid: %v", err)
 	}
 }
 
 func TestTuneParallelChainsNeverWorse(t *testing.T) {
-	single, err := TuneParallel(quietProblem(t, 2), TuneOptions{Iterations: 600, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
+	single := tune(t, quietProblem(t, 2), strategy.Options{Budget: 600, Seed: 2})
+	many := tune(t, quietProblem(t, 2), strategy.Options{Budget: 600, Seed: 2, Restarts: 4})
+	if many.E() > single.E() {
+		t.Fatalf("4 chains (%g) worse than chain 0 alone (%g)", many.E(), single.E())
 	}
-	many, err := TuneParallel(quietProblem(t, 2), TuneOptions{Iterations: 600, Seed: 2, Restarts: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if many.Times.E() > single.Times.E() {
-		t.Fatalf("4 chains (%g) worse than chain 0 alone (%g)", many.Times.E(), single.Times.E())
-	}
-	if err := many.Config.Validate(2); err != nil {
+	if err := many.Split.Validate(2); err != nil {
 		t.Fatalf("winning config invalid: %v", err)
 	}
 }

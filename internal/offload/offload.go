@@ -1,12 +1,14 @@
 // Package offload is the heterogeneous offload runtime of the
-// reproduction: it takes a system configuration (space.Config), splits a
-// divisible workload between the host CPUs and the accelerator according
-// to the configured fraction, and reports per-side execution times with
-// the paper's objective E = max(T_host, T_device) (Equation 2) together
-// with per-side energy from the calibrated power model (MeasureFull). The
-// offloaded share runs concurrently with the host share, mirroring the
-// paper's use of the Intel offload programming model with overlapped
-// host/device execution.
+// reproduction. A Platform is a host plus K accelerator cards; the
+// paper's is one Xeon Phi. A system configuration (space.Config) splits
+// a divisible workload between the host CPUs and the one card according
+// to the configured fraction; on a K-card platform a Split spreads it
+// over the host and every card. Both report per-unit execution times
+// with the paper's objective E = max over units (Equation 2) together
+// with per-unit energy from the calibrated power model, through one
+// shared per-unit measurement. The offloaded shares run concurrently
+// with the host share, mirroring the paper's use of the Intel offload
+// programming model with overlapped host/device execution.
 //
 // Two paths are provided:
 //
@@ -24,6 +26,7 @@ package offload
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"hetopt/internal/automata"
 	"hetopt/internal/dna"
@@ -122,41 +125,99 @@ func (w Workload) Validate() error {
 	if w.Name == "" {
 		return fmt.Errorf("offload: workload needs a name")
 	}
-	if w.SizeMB <= 0 {
+	if !(w.SizeMB > 0) {
 		return fmt.Errorf("offload: workload %q size %g must be positive", w.Name, w.SizeMB)
 	}
 	return nil
 }
 
-// Platform couples the host/device performance model with validation
-// logic. The zero value is not usable; construct with NewPlatform.
+// Platform is a host model plus K cards, each card with its own
+// performance model whose device side runs the card's share. The
+// paper's platform is one unnamed card sharing the host's model; its
+// noise key is the workload name. A named card keys its noise by
+// "<workload>:<name>", so identical cards observe independent noise.
+// The zero value is not usable; construct with NewPlatform,
+// NewPlatformWithModel or WithCards.
 type Platform struct {
+	host  *perf.Model
+	cards []card
+}
+
+// card is one accelerator of a Platform.
+type card struct {
+	name  string
 	model *perf.Model
 }
 
 // NewPlatform returns the paper's platform (2x Xeon E5 + Xeon Phi 7120P)
 // with default calibration.
 func NewPlatform() *Platform {
-	return &Platform{model: perf.NewPaperModel()}
+	return NewPlatformWithModel(perf.NewPaperModel())
 }
 
-// NewPlatformWithModel wraps a custom performance model (used by tests and
-// by the custom-machine example).
+// NewPlatformWithModel wraps a custom performance model as a host plus
+// one unnamed card (used by tests and by the custom-machine example).
 func NewPlatformWithModel(m *perf.Model) *Platform {
-	return &Platform{model: m}
+	return &Platform{host: m, cards: []card{{model: m}}}
 }
 
-// Model exposes the underlying performance model (calibration knobs).
-func (p *Platform) Model() *perf.Model { return p.model }
+// WithCards returns a platform with p's host and n copies of p's first
+// card, named "phi0".."phi<n-1>" when the card is a Xeon Phi and
+// "dev0".."dev<n-1>" otherwise. Each copy's noise seed is decorrelated
+// (same silicon, different card).
+func (p *Platform) WithCards(n int) (*Platform, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("offload: need at least one card, got %d", n)
+	}
+	prefix := "dev"
+	if strings.Contains(p.Device().Name, "Phi") {
+		prefix = "phi"
+	}
+	cards := make([]card, n)
+	for i := range cards {
+		m := *p.cards[0].model
+		m.Cal.NoiseSeed ^= uint64(i+1) * 0x9E3779B97F4A7C15
+		cards[i] = card{name: fmt.Sprintf("%s%d", prefix, i), model: &m}
+	}
+	return &Platform{host: p.host, cards: cards}, nil
+}
 
-// Host and Device expose the processor descriptions.
-func (p *Platform) Host() *machine.Processor   { return p.model.Host }
-func (p *Platform) Device() *machine.Processor { return p.model.Device }
+// Model exposes the host's performance model (calibration knobs); on a
+// one-card platform built by NewPlatform or NewPlatformWithModel the
+// card shares it.
+func (p *Platform) Model() *perf.Model { return p.host }
+
+// Host and Device expose the processor descriptions; Device is the
+// first card's.
+func (p *Platform) Host() *machine.Processor   { return p.host.Host }
+func (p *Platform) Device() *machine.Processor { return p.cards[0].model.Device }
+
+// NumCards returns the accelerator count K.
+func (p *Platform) NumCards() int { return len(p.cards) }
+
+// CardName returns the display name of card i; an unnamed card, or an
+// index beyond the platform's count, is labeled "dev<i>".
+func (p *Platform) CardName(i int) string {
+	if i < len(p.cards) && p.cards[i].name != "" {
+		return p.cards[i].name
+	}
+	return fmt.Sprintf("dev%d", i)
+}
+
+// checkFraction is the split check both measurement paths share: a
+// unit's share must lie in [0,100]. The negated comparison also rejects
+// NaN, which fails every ordered comparison.
+func checkFraction(unit string, pct float64) error {
+	if !(pct >= 0 && pct <= 100) {
+		return fmt.Errorf("offload: %s fraction %g outside [0,100]", unit, pct)
+	}
+	return nil
+}
 
 // split returns the host and device share sizes in MB.
 func split(w Workload, cfg space.Config) (hostMB, devMB float64, err error) {
-	if cfg.HostFraction < 0 || cfg.HostFraction > 100 {
-		return 0, 0, fmt.Errorf("offload: host fraction %g outside [0,100]", cfg.HostFraction)
+	if err := checkFraction("host", cfg.HostFraction); err != nil {
+		return 0, 0, err
 	}
 	hostMB = w.SizeMB * cfg.HostFraction / 100
 	devMB = w.SizeMB - hostMB
@@ -177,38 +238,184 @@ func (p *Platform) Measure(w Workload, cfg space.Config, trial int) (Times, erro
 // every objective can be scored from a single cached evaluation. Energy
 // accounting: each engaged unit draws its active power while its share
 // runs and its static power while it waits for the other side to finish
-// (the makespan); a unit with no work consumes nothing.
+// (the makespan); a unit with no work consumes nothing. cfg splits the
+// work over the host and one card, so p must have exactly one.
 func (p *Platform) MeasureFull(w Workload, cfg space.Config, trial int) (Measurement, error) {
 	if err := w.Validate(); err != nil {
 		return Measurement{}, err
+	}
+	if len(p.cards) != 1 {
+		return Measurement{}, fmt.Errorf("offload: a host/device configuration needs a one-card platform, not %d cards", len(p.cards))
 	}
 	hostMB, devMB, err := split(w, cfg)
 	if err != nil {
 		return Measurement{}, err
 	}
-	hostA := perf.Assignment{SizeMB: hostMB, Threads: cfg.HostThreads, Affinity: cfg.HostAffinity}
-	devA := perf.Assignment{SizeMB: devMB, Threads: cfg.DeviceThreads, Affinity: cfg.DeviceAffinity}
-	var m Measurement
-	if hostMB > 0 {
-		m.Times.Host, err = p.model.HostTime(hostA, w.Traits(), trial)
-		if err != nil {
-			return Measurement{}, err
-		}
+	a := [2]perf.Assignment{
+		{SizeMB: hostMB, Threads: cfg.HostThreads, Affinity: cfg.HostAffinity},
+		{SizeMB: devMB, Threads: cfg.DeviceThreads, Affinity: cfg.DeviceAffinity},
 	}
-	if devMB > 0 {
-		m.Times.Device, err = p.model.DeviceTime(devA, w.Traits(), trial)
-		if err != nil {
-			return Measurement{}, err
-		}
-	}
-	makespan := m.Times.E()
-	m.Energy.Host, err = p.model.HostEnergy(hostA, w.Traits(), trial, m.Times.Host, makespan)
-	if err != nil {
+	var tr [2]perf.Traits
+	var t, e [2]float64
+	if err := p.measureUnits(w, a[:], trial, tr[:], t[:], e[:]); err != nil {
 		return Measurement{}, err
 	}
-	m.Energy.Device, err = p.model.DeviceEnergy(devA, w.Traits(), trial, m.Times.Device, makespan)
-	if err != nil {
-		return Measurement{}, err
+	return Measurement{Times: Times{Host: t[0], Device: t[1]}, Energy: Energy{Host: e[0], Device: e[1]}}, nil
+}
+
+// measureUnits runs one experiment over the host and p's cards. The
+// slices are host-first (index 0 the host, 1+i card i) and sized 1+K:
+// a holds the shares, tr is scratch for the per-unit noise traits, and
+// t and e, zeroed by the caller, receive each unit's time (computed
+// only when its share is non-empty) and then its energy over the
+// makespan.
+func (p *Platform) measureUnits(w Workload, a []perf.Assignment, trial int, tr []perf.Traits, t, e []float64) error {
+	tr[0] = w.Traits()
+	for i, c := range p.cards {
+		tr[1+i] = tr[0]
+		if c.name != "" {
+			tr[1+i].Name = w.Name + ":" + c.name
+		}
+	}
+	var err error
+	if a[0].SizeMB > 0 {
+		if t[0], err = p.host.HostTime(a[0], tr[0], trial); err != nil {
+			return err
+		}
+	}
+	makespan := t[0]
+	for i, c := range p.cards {
+		if a[1+i].SizeMB > 0 {
+			if t[1+i], err = c.model.DeviceTime(a[1+i], tr[1+i], trial); err != nil {
+				return err
+			}
+		}
+		makespan = max(makespan, t[1+i])
+	}
+	if e[0], err = p.host.HostEnergy(a[0], tr[0], trial, t[0], makespan); err != nil {
+		return err
+	}
+	for i, c := range p.cards {
+		if e[1+i], err = c.model.DeviceEnergy(a[1+i], tr[1+i], trial, t[1+i], makespan); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Share is one processing unit's part of a Split.
+type Share struct {
+	Threads  int
+	Affinity machine.Affinity
+	// FractionPct is the percentage of the workload mapped to the unit.
+	FractionPct float64
+}
+
+func (s Share) assignment(w Workload) perf.Assignment {
+	return perf.Assignment{SizeMB: w.SizeMB * s.FractionPct / 100, Threads: s.Threads, Affinity: s.Affinity}
+}
+
+// Split distributes a workload over the host and K cards; the
+// fractions form a simplex (each in [0,100], summing to 100).
+type Split struct {
+	Host  Share
+	Cards []Share
+}
+
+// Validate checks the card count and the fraction simplex. The simplex
+// tolerance scales with the number of units: each fraction derived from
+// float arithmetic (e.g. thirds) contributes its own rounding error, so a
+// fixed epsilon would start rejecting valid splits as K grows.
+func (s Split) Validate(cards int) error {
+	if len(s.Cards) != cards {
+		return fmt.Errorf("offload: split has %d card shares for %d cards", len(s.Cards), cards)
+	}
+	if err := checkFraction("host", s.Host.FractionPct); err != nil {
+		return err
+	}
+	total := s.Host.FractionPct
+	for i, c := range s.Cards {
+		if err := checkFraction("card", c.FractionPct); err != nil {
+			return fmt.Errorf("%w (card %d)", err, i)
+		}
+		total += c.FractionPct
+	}
+	tol := 1e-9 * float64(1+len(s.Cards))
+	if math.Abs(total-100) > tol {
+		return fmt.Errorf("offload: split fractions sum to %g, want 100", total)
+	}
+	return nil
+}
+
+// String renders the split without card names (a bare Split does not
+// know which platform it belongs to), e.g.
+// "host 40% (48T,scatter) | 30% (240T,balanced) | 30% (240T,balanced)".
+// Use Platform.FormatSplit to label each card entry with its name.
+func (s Split) String() string { return s.format(nil) }
+
+// FormatSplit renders the split with each card entry labeled by
+// CardName, e.g. "host 40% (48T,scatter) | phi0 30% (240T,balanced) |
+// phi1 30% (240T,balanced)".
+func (p *Platform) FormatSplit(s Split) string { return s.format(p.CardName) }
+
+func (s Split) format(label func(int) string) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "host %g%% (%dT,%s)", s.Host.FractionPct, s.Host.Threads, s.Host.Affinity)
+	for i, c := range s.Cards {
+		sb.WriteString(" | ")
+		if label != nil {
+			sb.WriteString(label(i) + " ")
+		}
+		fmt.Fprintf(&sb, "%g%% (%dT,%s)", c.FractionPct, c.Threads, c.Affinity)
+	}
+	return sb.String()
+}
+
+// SplitMeasurement is one evaluated split: per-unit times in seconds
+// and energies in joules, host first, from a single experiment.
+type SplitMeasurement struct {
+	Times, Energy []float64
+}
+
+// E is the time objective: the makespan over all units.
+func (m SplitMeasurement) E() float64 {
+	e := 0.0
+	for _, t := range m.Times {
+		e = max(e, t)
+	}
+	return e
+}
+
+// Joules is the energy objective: joules summed over all units (a unit
+// with no work consumes nothing).
+func (m SplitMeasurement) Joules() float64 {
+	total := 0.0
+	for _, e := range m.Energy {
+		total += e
+	}
+	return total
+}
+
+// MeasureSplit evaluates a split over the host and p's cards and
+// reports per-unit times and energies, under the same accounting as
+// MeasureFull.
+func (p *Platform) MeasureSplit(w Workload, s Split, trial int) (SplitMeasurement, error) {
+	if err := w.Validate(); err != nil {
+		return SplitMeasurement{}, err
+	}
+	if err := s.Validate(len(p.cards)); err != nil {
+		return SplitMeasurement{}, err
+	}
+	n := 1 + len(p.cards)
+	a := make([]perf.Assignment, n)
+	a[0] = s.Host.assignment(w)
+	for i, c := range s.Cards {
+		a[1+i] = c.assignment(w)
+	}
+	vals := make([]float64, 2*n)
+	m := SplitMeasurement{Times: vals[:n:n], Energy: vals[n:]}
+	if err := p.measureUnits(w, a, trial, make([]perf.Traits, n), m.Times, m.Energy); err != nil {
+		return SplitMeasurement{}, err
 	}
 	return m, nil
 }
@@ -242,10 +449,10 @@ func (p *Platform) Execute(w Workload, cfg space.Config, d *automata.DFA, src pa
 	if total == 0 {
 		return ExecutionReport{}, nil // nothing to do: empty report
 	}
-	hostBytes := int64(float64(total) * cfg.HostFraction / 100)
-	if cfg.HostFraction < 0 || cfg.HostFraction > 100 {
-		return ExecutionReport{}, fmt.Errorf("offload: host fraction %g outside [0,100]", cfg.HostFraction)
+	if err := checkFraction("host", cfg.HostFraction); err != nil {
+		return ExecutionReport{}, err
 	}
+	hostBytes := int64(float64(total) * cfg.HostFraction / 100)
 	devBytes := total - hostBytes
 
 	report := ExecutionReport{HostBytes: hostBytes, DeviceBytes: devBytes}

@@ -52,6 +52,9 @@ func TestWorkloadValidate(t *testing.T) {
 	if err := (Workload{Name: "x", SizeMB: 0}).Validate(); err == nil {
 		t.Error("zero size should fail")
 	}
+	if err := (Workload{Name: "x", SizeMB: math.NaN()}).Validate(); err == nil {
+		t.Error("NaN size should fail")
+	}
 }
 
 func TestWorkloadScaled(t *testing.T) {
@@ -90,12 +93,28 @@ func TestMeasureSplitsWork(t *testing.T) {
 	}
 }
 
+// badFractions are shares outside [0,100]; NaN fails every ordered
+// comparison, so only a negated range check rejects it.
+var badFractions = []float64{-1, 101, math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 100.1}
+
 func TestMeasureRejectsBadFraction(t *testing.T) {
 	p := quietPlatform()
 	w := GenomeWorkload(dna.Human)
-	for _, f := range []float64{-1, 101} {
-		if _, err := p.Measure(w, balancedConfig(f), 0); err == nil {
-			t.Errorf("fraction %g should fail", f)
+	d, err := automata.CompileMotifs(dna.DefaultMotifs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := dna.NewGenerator(dna.Human, 5)
+	for _, f := range badFractions {
+		cfg := balancedConfig(f)
+		if m, err := p.MeasureFull(w, cfg, 0); err == nil {
+			t.Errorf("MeasureFull accepted host fraction %g: %+v", f, m)
+		}
+		if _, err := p.Measure(w, cfg, 0); err == nil {
+			t.Errorf("Measure accepted host fraction %g", f)
+		}
+		if _, err := p.Execute(w, cfg, d, gen, 1000, 0); err == nil {
+			t.Errorf("Execute accepted host fraction %g", f)
 		}
 	}
 }

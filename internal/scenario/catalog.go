@@ -247,7 +247,7 @@ func GPULikePlatform() PlatformSpec {
 			HostAffinities:   []machine.Affinity{machine.AffinityNone, machine.AffinityScatter, machine.AffinityCompact},
 			DeviceThreads:    []int{128, 256, 512, 1024, 2048},
 			DeviceAffinities: []machine.Affinity{machine.AffinityBalanced, machine.AffinityScatter, machine.AffinityCompact},
-			Fractions:        paperFractions(),
+			Fractions:        space.PaperSpec().Fractions,
 		},
 		// PCIe gen4 x16 with resident kernels: per-transfer cost is a
 		// launch/sync round-trip, not the full 0.35 s engagement.
@@ -350,22 +350,12 @@ func EdgePlatform() PlatformSpec {
 			HostAffinities:   []machine.Affinity{machine.AffinityNone, machine.AffinityScatter, machine.AffinityCompact},
 			DeviceThreads:    []int{4, 8, 16, 32, 64},
 			DeviceAffinities: []machine.Affinity{machine.AffinityBalanced, machine.AffinityScatter, machine.AffinityCompact},
-			Fractions:        paperFractions(),
+			Fractions:        space.PaperSpec().Fractions,
 		},
 		// Shared memory: a transfer is a cache handoff, nearly free.
 		LinkBandwidthMBs: 20000,
 		LinkLatencySec:   0.0002,
 	}
-}
-
-// paperFractions returns the paper's 41-value host-fraction grid
-// (0-100% in 2.5% steps), shared by every built-in platform.
-func paperFractions() []float64 {
-	fractions := make([]float64, 0, 41)
-	for f := 0.0; f <= 100; f += 2.5 {
-		fractions = append(fractions, f)
-	}
-	return fractions
 }
 
 // Builtin returns a registry populated with the shipped catalog: the
