@@ -97,6 +97,7 @@ func Defs() []Def {
 		{Name: "forward-warm-hit", Bench: benchForwardWarmHit},
 		{Name: "predict-miss", Bench: benchPredictMiss},
 		{Name: "cold-eml", Bench: benchColdEML},
+		{Name: "serve-cold-em", Bench: benchServeColdEM},
 	}
 }
 
@@ -137,6 +138,38 @@ func benchColdEML(b *testing.B) {
 		if res.SearchEvaluations != 19926 {
 			b.Fatal("enumeration incomplete")
 		}
+	}
+}
+
+// benchServeColdEM is one EM job through the service's compute path
+// (Server.Compute: no HTTP, pool or store) on a fresh workload size
+// each op: a new per-workload unit table priced unit by unit, then the
+// 19,926-config enumeration with the job's per-config accounting. It
+// is the cold measured request a tuning service pays per new size;
+// em-enumeration measures a plain Measurer and misses the serving
+// layer's own cost.
+func benchServeColdEM(b *testing.B) {
+	srv := serve.New(serve.Options{Workers: 1, QueueSize: 1})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = srv.Drain(ctx)
+	}()
+	job := func(sizeMB float64) {
+		res, err := srv.Compute(serve.TuneRequest{Method: "em", SizeMB: sizeMB})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.SearchEvaluations != 19926 {
+			b.Fatal("enumeration incomplete")
+		}
+	}
+	// Build the platform state outside the timed region.
+	job(999.5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		job(1000 + float64(i))
 	}
 }
 
@@ -336,10 +369,10 @@ func benchDAGPlacement(b *testing.B) {
 func benchEMEnumeration(b *testing.B) {
 	s := fixtures(b)
 	inst := &core.Instance{Schema: s.schema, Measurer: core.NewMeasurer(s.platform, s.workload)}
-	// Warm the shared measure cache so the record captures the
-	// steady-state per-run cost: the first enumeration's 19,926 memo
-	// inserts would otherwise amortize over a run-dependent N and make
-	// allocs/op non-reproducible.
+	// Warm the Measurer's unit table so the record captures the
+	// steady-state per-run cost: the first enumeration's table would
+	// otherwise amortize over a run-dependent N and make allocs/op
+	// non-reproducible.
 	if _, err := core.Run(core.EM, inst, core.Options{}); err != nil {
 		b.Fatal(err)
 	}
@@ -361,7 +394,7 @@ func benchEMEnumeration(b *testing.B) {
 func benchSAMMultiChain(b *testing.B) {
 	s := fixtures(b)
 	inst := &core.Instance{Schema: s.schema, Measurer: core.NewMeasurer(s.platform, s.workload)}
-	// Warm the shared measure cache (see benchEMEnumeration).
+	// Warm the Measurer's unit table (see benchEMEnumeration).
 	if _, err := core.Run(core.SAM, inst, core.Options{
 		Iterations: 2000, Seed: 1, Restarts: 4, Parallelism: 4,
 	}); err != nil {
@@ -396,11 +429,15 @@ func benchMeasureFull(b *testing.B) {
 	}
 }
 
-// benchPredictorEvaluateHit is the steady-state prediction path: both
-// side memos warm, energy priced through the cached power tables.
+// benchPredictorEvaluateHit is the steady-state prediction path: the
+// configuration located on the schema the predictor's unit table was
+// built for, both units loaded from the table, energy composed.
 func benchPredictorEvaluateHit(b *testing.B) {
 	s := fixtures(b)
 	cfg := trackedConfig()
+	// Building a search problem over the paper schema tables the
+	// predictor's units, as every EML/SAML run does.
+	core.NewSearchProblem(s.schema, s.pred, nil, space.StepMove)
 	if _, err := s.pred.Evaluate(cfg); err != nil {
 		b.Fatal(err)
 	}

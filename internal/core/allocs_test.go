@@ -9,11 +9,11 @@ import (
 	"hetopt/internal/space"
 )
 
-// TestPredictorEvaluateSteadyStateZeroAllocs pins the steady-state
-// prediction path as allocation-free: with both per-side memos warm and
-// the power tables built, Evaluate is lookups and arithmetic only. The
-// model-based methods (EML, SAML) spend their entire search budget on
-// this path.
+// TestPredictorEvaluateSteadyStateZeroAllocs pins the prediction path
+// as allocation-free: with the unit table warm, Evaluate is a schema
+// lookup, two slot loads and arithmetic; without a table it predicts
+// directly, still without allocating. The model-based methods (EML,
+// SAML) spend their entire search budget on this path.
 func TestPredictorEvaluateSteadyStateZeroAllocs(t *testing.T) {
 	platform := offload.NewPlatform()
 	w := offload.GenomeWorkload(dna.Human)
@@ -27,16 +27,21 @@ func TestPredictorEvaluateSteadyStateZeroAllocs(t *testing.T) {
 		DeviceThreads: 240, DeviceAffinity: machine.AffinityBalanced,
 		HostFraction: 60,
 	}
-	if _, err := pred.Evaluate(cfg); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
+	for _, tabled := range []bool{false, true} {
+		if tabled {
+			pred.table(space.PaperSchema())
+		}
 		if _, err := pred.Evaluate(cfg); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state Evaluate allocates %g allocs/op, want 0", allocs)
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := pred.Evaluate(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("steady-state Evaluate (tabled %v) allocates %g allocs/op, want 0", tabled, allocs)
+		}
 	}
 }
 

@@ -263,11 +263,20 @@ func TestPredictorMemoizationAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Fatal("memoized prediction changed")
+	tab := p.table(space.PaperSchema())
+	c, err := p.Evaluate(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.hostMemo.Unique() != 1 || p.devMemo.Unique() != 1 {
-		t.Fatalf("memo sizes = %d/%d, want 1/1", p.hostMemo.Unique(), p.devMemo.Unique())
+	d, err := p.Evaluate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != b || a != c || c != d {
+		t.Fatal("tabled prediction changed")
+	}
+	if tab.Priced() != 2 {
+		t.Fatalf("table priced %d units, want 2 (one per side)", tab.Priced())
 	}
 	if _, err := p.Evaluate(space.Config{HostFraction: 200}); err == nil {
 		t.Error("bad fraction should fail")

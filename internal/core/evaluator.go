@@ -25,7 +25,6 @@ import (
 	"hetopt/internal/machine"
 	"hetopt/internal/offload"
 	"hetopt/internal/perf"
-	"hetopt/internal/search"
 	"hetopt/internal/space"
 )
 
@@ -53,6 +52,18 @@ type Measurer struct {
 	Trial int
 
 	count atomic.Int64
+	// tab is the unit table of the last schema a search ran over, with
+	// the measurement inputs it was built for.
+	tab atomic.Pointer[measuredTable]
+}
+
+// measuredTable is a Measurer's unit table and the (platform,
+// workload, trial, schema) it prices.
+type measuredTable struct {
+	platform *offload.Platform
+	workload offload.Workload
+	trial    int
+	tab      *offload.UnitTable
 }
 
 // NewMeasurer builds a Measurer for the workload on the platform.
@@ -64,6 +75,22 @@ func NewMeasurer(p *offload.Platform, w offload.Workload) *Measurer {
 func (m *Measurer) Evaluate(cfg space.Config) (offload.Measurement, error) {
 	m.count.Add(1)
 	return m.Platform.MeasureFull(m.Workload, cfg, m.Trial)
+}
+
+// unitTable returns the Measurer's unit table over schema, building a
+// new one when the schema or a measurement input changed since the
+// last. Runs that reuse a Measurer reuse its priced units.
+func (m *Measurer) unitTable(schema *space.Schema) (*offload.UnitTable, error) {
+	if c := m.tab.Load(); c != nil && c.tab.Schema() == schema &&
+		c.platform == m.Platform && c.workload == m.Workload && c.trial == m.Trial {
+		return c.tab, nil
+	}
+	tab, err := m.Platform.UnitTable(m.Workload, m.Trial, schema)
+	if err != nil {
+		return nil, err
+	}
+	m.tab.Store(&measuredTable{platform: m.Platform, workload: m.Workload, trial: m.Trial, tab: tab})
+	return tab, nil
 }
 
 // Count returns the number of experiments performed so far.
@@ -78,6 +105,91 @@ func (m *Measurer) Charge() { m.count.Add(1) }
 
 // ResetCount zeroes the experiment counter.
 func (m *Measurer) ResetCount() { m.count.Store(0) }
+
+// stateEvaluator prices a schema index vector straight from a unit
+// table, skipping the decode into a space.Config. The search problem
+// uses one whenever its evaluator offers it over its schema
+// (stateEvaluatorFor).
+type stateEvaluator func(state []int) (offload.Measurement, error)
+
+// stateEvaluatorFor returns the table-backed form of eval over schema,
+// nil when eval has none (any Evaluator other than the three below, or
+// a measurement setup the table rejects, which then fails per
+// evaluation exactly as before). Every form returns the values and
+// charges the effort eval.Evaluate would.
+func stateEvaluatorFor(schema *space.Schema, eval Evaluator) stateEvaluator {
+	switch e := eval.(type) {
+	case *Predictor:
+		return e.table(schema).Measure
+	case *Measurer:
+		if tab, err := e.unitTable(schema); err == nil {
+			return measuredStates{tab: tab, meas: e}.evaluateState
+		}
+	case *TableMeasure:
+		if e.tab.Schema() == schema {
+			return e.evaluateState
+		}
+	}
+	return nil
+}
+
+// measuredStates is a plain Measurer over its unit table: one
+// experiment charged per evaluation, as Measurer.Evaluate charges.
+type measuredStates struct {
+	tab  *offload.UnitTable
+	meas *Measurer
+}
+
+func (e measuredStates) evaluateState(state []int) (offload.Measurement, error) {
+	e.meas.count.Add(1)
+	return e.tab.Measure(state)
+}
+
+// TableMeasure is a measured evaluator over a unit table that several
+// runs share; the serving layer shares one per workload across
+// concurrent jobs, so overlapping searches price each unit once. It
+// charges its run's Measurer once per distinct configuration the run
+// visits, whether the table priced the units or replayed units another
+// run paid, so a run's Experiments is a pure function of the run, not
+// of table warmth. A visited bitset over configuration ordinals keeps
+// that count; it is safe for concurrent use by one run's workers.
+type TableMeasure struct {
+	tab     *offload.UnitTable
+	meas    *Measurer
+	visited []atomic.Uint64
+}
+
+// NewTableMeasure builds the evaluator of one run: tab must price the
+// measurements of meas (its platform, workload and trial).
+func NewTableMeasure(tab *offload.UnitTable, meas *Measurer) *TableMeasure {
+	return &TableMeasure{tab: tab, meas: meas, visited: make([]atomic.Uint64, (tab.Schema().Size()+63)/64)}
+}
+
+// Evaluate implements Evaluator. A configuration outside the table's
+// schema is measured directly and charged on every call.
+func (e *TableMeasure) Evaluate(cfg space.Config) (offload.Measurement, error) {
+	idx, ok := e.tab.Schema().Locate(cfg)
+	if !ok {
+		return e.meas.Evaluate(cfg)
+	}
+	return e.evaluateState(idx[:])
+}
+
+func (e *TableMeasure) evaluateState(state []int) (offload.Measurement, error) {
+	m, err := e.tab.Measure(state)
+	if err != nil {
+		return m, err
+	}
+	ord, err := e.tab.Schema().Space().Flatten(state)
+	if err != nil {
+		return m, err
+	}
+	bit := uint64(1) << (ord % 64)
+	if e.visited[ord/64].Or(bit)&bit == 0 {
+		e.meas.Charge()
+	}
+	return m, nil
+}
 
 // Feature layout shared by the host and device models: the paper trains on
 // the number of threads, the thread affinity and the input size
@@ -132,11 +244,13 @@ func encodeSide(x *[numFeatures]float64, threads int, aff machine.Affinity, size
 
 // Predictor evaluates configurations with the trained per-side regression
 // models (the paper's Figure 4 predictive model). Predictions are
-// memoized: the deterministic mapping from configuration to features makes
-// caching exact, which matters when enumeration queries 19,926
-// configurations built from only ~1,800 distinct per-side inputs. The
-// memo tables are concurrency-safe (single-flight), so one Predictor can
-// serve sharded enumeration and parallel annealing chains.
+// tabled per unit: a configuration's prediction depends on each side's
+// own (threads, affinity, share) only, so enumeration's 19,926
+// configurations need only ~1,800 distinct per-side predictions. The
+// table of the schema a search runs over (offload.UnitTable) fills
+// lazily and lock-free, so one Predictor can serve sharded enumeration
+// and parallel annealing chains, and jobs sharing it share its
+// predictions.
 //
 // The energy side of an evaluation is not learned: predicted times are
 // composed with the analytic power model (noise-free active/static power
@@ -147,14 +261,8 @@ type Predictor struct {
 	workload offload.Workload
 	power    *perf.Model
 
-	hostMemo *search.Memo[sideKey, float64]
-	devMemo  *search.Memo[sideKey, float64]
-}
-
-type sideKey struct {
-	threads int
-	aff     machine.Affinity
-	sizeMB  float64
+	// tab is the unit table of the last schema a search ran over.
+	tab atomic.Pointer[offload.UnitTable]
 }
 
 // NewPredictor binds trained models to a workload. power is the analytic
@@ -170,76 +278,66 @@ func NewPredictor(models *Models, w offload.Workload, power *perf.Model) (*Predi
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	return &Predictor{
-		models:   models,
-		workload: w,
-		power:    power,
-		hostMemo: search.NewMemo[sideKey, float64](),
-		devMemo:  search.NewMemo[sideKey, float64](),
-	}, nil
+	return &Predictor{models: models, workload: w, power: power}, nil
 }
 
 // Evaluate implements Evaluator by predicting T_host and T_device and
-// pricing them into energy with the power model.
+// pricing them into energy with the power model. A configuration on
+// the tabled schema is served from the table; any other is predicted
+// directly, to the same value.
 func (p *Predictor) Evaluate(cfg space.Config) (offload.Measurement, error) {
-	if cfg.HostFraction < 0 || cfg.HostFraction > 100 {
-		return offload.Measurement{}, fmt.Errorf("core: host fraction %g outside [0,100]", cfg.HostFraction)
-	}
-	hostMB := p.workload.SizeMB * cfg.HostFraction / 100
-	devMB := p.workload.SizeMB - hostMB
-	var m offload.Measurement
-	if hostMB > 0 {
-		v, err := p.hostTime(cfg.HostThreads, cfg.HostAffinity, hostMB)
-		if err != nil {
-			return offload.Measurement{}, err
+	if t := p.tab.Load(); t != nil {
+		if idx, ok := t.Schema().Locate(cfg); ok {
+			return t.Measure(idx[:])
 		}
-		m.Times.Host = v
 	}
-	if devMB > 0 {
-		v, err := p.devTime(cfg.DeviceThreads, cfg.DeviceAffinity, devMB)
-		if err != nil {
-			return offload.Measurement{}, err
-		}
-		m.Times.Device = v
+	hostMB, devMB, err := p.workload.Shares(cfg.HostFraction)
+	if err != nil {
+		return offload.Measurement{}, err
 	}
-	makespan := m.Times.E()
-	if hostMB > 0 {
-		e, err := p.power.HostModeledEnergy(cfg.HostThreads, cfg.HostAffinity, m.Times.Host, makespan)
-		if err != nil {
-			return offload.Measurement{}, err
-		}
-		m.Energy.Host = e
+	h, err := p.hostUnit(perf.Assignment{SizeMB: hostMB, Threads: cfg.HostThreads, Affinity: cfg.HostAffinity})
+	if err != nil {
+		return offload.Measurement{}, err
 	}
-	if devMB > 0 {
-		e, err := p.power.DeviceModeledEnergy(cfg.DeviceThreads, cfg.DeviceAffinity, m.Times.Device, makespan)
-		if err != nil {
-			return offload.Measurement{}, err
-		}
-		m.Energy.Device = e
+	d, err := p.deviceUnit(perf.Assignment{SizeMB: devMB, Threads: cfg.DeviceThreads, Affinity: cfg.DeviceAffinity})
+	if err != nil {
+		return offload.Measurement{}, err
 	}
-	return m, nil
+	return offload.Compose(h, d), nil
 }
 
-// hostTime returns the memoized host-side prediction. Memo hits take the
-// allocation-free Get fast path; only a miss builds the Do closure and
-// runs the regression forest.
-func (p *Predictor) hostTime(threads int, aff machine.Affinity, sizeMB float64) (float64, error) {
-	key := sideKey{threads, aff, sizeMB}
-	if v, ok, err := p.hostMemo.Get(key); ok {
-		return v, err
+// table returns the Predictor's unit table over schema, replacing the
+// table of a previous schema.
+func (p *Predictor) table(schema *space.Schema) *offload.UnitTable {
+	if t := p.tab.Load(); t != nil && t.Schema() == schema {
+		return t
 	}
-	return p.hostMemo.Do(key, func() (float64, error) {
-		return p.models.PredictHost(threads, aff, sizeMB)
-	})
+	t := offload.NewUnitTable(schema, p.workload, p.hostUnit, p.deviceUnit)
+	p.tab.Store(t)
+	return t
 }
 
-// devTime is the device analogue of hostTime.
-func (p *Predictor) devTime(threads int, aff machine.Affinity, sizeMB float64) (float64, error) {
-	key := sideKey{threads, aff, sizeMB}
-	if v, ok, err := p.devMemo.Get(key); ok {
-		return v, err
+// hostUnit prices one host share: the predicted time and the modeled
+// power. An empty share is the disengaged zero unit.
+func (p *Predictor) hostUnit(a perf.Assignment) (perf.Unit, error) {
+	if !(a.SizeMB > 0) {
+		return perf.Unit{}, nil
 	}
-	return p.devMemo.Do(key, func() (float64, error) {
-		return p.models.PredictDevice(threads, aff, sizeMB)
-	})
+	t, err := p.models.PredictHost(a.Threads, a.Affinity, a.SizeMB)
+	if err != nil {
+		return perf.Unit{}, err
+	}
+	return p.power.HostModeledUnit(a.Threads, a.Affinity, t)
+}
+
+// deviceUnit is the device analogue of hostUnit.
+func (p *Predictor) deviceUnit(a perf.Assignment) (perf.Unit, error) {
+	if !(a.SizeMB > 0) {
+		return perf.Unit{}, nil
+	}
+	t, err := p.models.PredictDevice(a.Threads, a.Affinity, a.SizeMB)
+	if err != nil {
+		return perf.Unit{}, err
+	}
+	return p.power.DeviceModeledUnit(a.Threads, a.Affinity, t)
 }

@@ -55,3 +55,43 @@ func TestMeasureCacheInterposes(t *testing.T) {
 		t.Fatalf("cache changed the result:\n%+v\n%+v", first, third)
 	}
 }
+
+// TestTableMeasureChargesDistinctConfigs: runs measuring through one
+// shared unit table (each through its own TableMeasure) are charged
+// exactly what a per-run memo charges — one experiment per distinct
+// configuration — however warm the table, and return the values a
+// plain Measurer measures.
+func TestTableMeasureChargesDistinctConfigs(t *testing.T) {
+	w := offload.GenomeWorkload(dna.Human)
+	platform := offload.NewPlatform()
+	schema := space.PaperSchema()
+	opt := Options{Iterations: 80, Seed: 21}
+
+	memoMeas := NewMeasurer(platform, w)
+	want, err := Run(SAM, &Instance{Schema: schema, Measurer: memoMeas, MeasureCache: search.NewCache(memoMeas)}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Run(SAM, &Instance{Schema: schema, Measurer: NewMeasurer(platform, w)}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Experiments <= want.Experiments {
+		t.Fatalf("the chain revisits no configuration (%d plain, %d distinct): the test needs a longer budget", plain.Experiments, want.Experiments)
+	}
+	tab, err := platform.UnitTable(w, 0, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 2; run++ {
+		meas := NewMeasurer(platform, w)
+		got, err := Run(SAM, &Instance{Schema: schema, Measurer: meas, MeasureCache: NewTableMeasure(tab, meas)}, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Experiments != want.Experiments || got.Config != want.Config ||
+			got.Measured != want.Measured || got.MeasuredEnergy != want.MeasuredEnergy {
+			t.Fatalf("run %d over the shared table: %+v, want %+v", run, got, want)
+		}
+	}
+}

@@ -297,7 +297,7 @@ func Run(m Method, inst *Instance, opt Options) (Result, error) {
 	}
 
 	obj := opt.objective()
-	var prob strategy.Spaced = &searchProblem{schema: inst.Schema, eval: evalSet, mode: opt.NeighborMode, obj: obj}
+	var prob strategy.Spaced = newSearchProblem(inst.Schema, evalSet, obj, opt.NeighborMode)
 	if !m.UsesML() {
 		// Measurement-path runs get the roofline pruning oracle so the
 		// exact strategy (standalone or inside a portfolio) can prune;
@@ -359,19 +359,27 @@ func decodePool(schema *space.Schema, entries []strategy.PoolEntry) ([]PoolConfi
 // strategy.Problem — and strategy.Spaced: a schema is a full product
 // space. Run builds one internally for every method; it is exported so
 // experiment drivers and refinement wrappers reuse the same adapter
-// instead of growing copies.
+// instead of growing copies. When eval is a *Measurer, *Predictor or
+// *TableMeasure, the problem prices states from eval's unit table over
+// schema (building it on first use) instead of decoding each state.
 func NewSearchProblem(schema *space.Schema, eval Evaluator, obj Objective, mode space.NeighborMode) strategy.Spaced {
 	if obj == nil {
 		obj = TimeObjective{}
 	}
-	return &searchProblem{schema: schema, eval: eval, mode: mode, obj: obj}
+	return newSearchProblem(schema, eval, obj, mode)
+}
+
+func newSearchProblem(schema *space.Schema, eval Evaluator, obj Objective, mode space.NeighborMode) *searchProblem {
+	return &searchProblem{schema: schema, eval: eval, states: stateEvaluatorFor(schema, eval), mode: mode, obj: obj}
 }
 
 // searchProblem is stateless — Energy is a pure function of the state —
-// so every worker of every strategy can share one instance.
+// so every worker of every strategy can share one instance. states,
+// when non-nil, is eval's table-backed form over schema.
 type searchProblem struct {
 	schema *space.Schema
 	eval   Evaluator
+	states stateEvaluator
 	mode   space.NeighborMode
 	obj    Objective
 }
@@ -389,6 +397,13 @@ func (p *searchProblem) Neighbor(dst, src []int, rng *rand.Rand) {
 }
 
 func (p *searchProblem) Energy(state []int) (float64, error) {
+	if p.states != nil {
+		t, err := p.states(state)
+		if err != nil {
+			return 0, err
+		}
+		return objectiveValue(p.obj, t), nil
+	}
 	cfg, err := p.schema.Config(state)
 	if err != nil {
 		return 0, err

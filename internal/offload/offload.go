@@ -214,12 +214,15 @@ func checkFraction(unit string, pct float64) error {
 	return nil
 }
 
-// split returns the host and device share sizes in MB.
-func split(w Workload, cfg space.Config) (hostMB, devMB float64, err error) {
-	if err := checkFraction("host", cfg.HostFraction); err != nil {
+// Shares returns the host and device share sizes in MB of a split that
+// maps hostPct percent of the workload to the host. Every path that
+// splits a workload between the host and one card — measurement, the
+// per-unit tables and the prediction path — sizes its shares here.
+func (w Workload) Shares(hostPct float64) (hostMB, devMB float64, err error) {
+	if err := checkFraction("host", hostPct); err != nil {
 		return 0, 0, err
 	}
-	hostMB = w.SizeMB * cfg.HostFraction / 100
+	hostMB = w.SizeMB * hostPct / 100
 	devMB = w.SizeMB - hostMB
 	return hostMB, devMB, nil
 }
@@ -241,13 +244,10 @@ func (p *Platform) Measure(w Workload, cfg space.Config, trial int) (Times, erro
 // (the makespan); a unit with no work consumes nothing. cfg splits the
 // work over the host and one card, so p must have exactly one.
 func (p *Platform) MeasureFull(w Workload, cfg space.Config, trial int) (Measurement, error) {
-	if err := w.Validate(); err != nil {
+	if err := p.checkOneCard(w); err != nil {
 		return Measurement{}, err
 	}
-	if len(p.cards) != 1 {
-		return Measurement{}, fmt.Errorf("offload: a host/device configuration needs a one-card platform, not %d cards", len(p.cards))
-	}
-	hostMB, devMB, err := split(w, cfg)
+	hostMB, devMB, err := w.Shares(cfg.HostFraction)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -255,48 +255,59 @@ func (p *Platform) MeasureFull(w Workload, cfg space.Config, trial int) (Measure
 		{SizeMB: hostMB, Threads: cfg.HostThreads, Affinity: cfg.HostAffinity},
 		{SizeMB: devMB, Threads: cfg.DeviceThreads, Affinity: cfg.DeviceAffinity},
 	}
-	var tr [2]perf.Traits
-	var t, e [2]float64
-	if err := p.measureUnits(w, a[:], trial, tr[:], t[:], e[:]); err != nil {
+	var u [2]perf.Unit
+	if err := p.measureUnits(w, a[:], trial, u[:]); err != nil {
 		return Measurement{}, err
 	}
-	return Measurement{Times: Times{Host: t[0], Device: t[1]}, Energy: Energy{Host: e[0], Device: e[1]}}, nil
+	return Compose(u[0], u[1]), nil
 }
 
-// measureUnits runs one experiment over the host and p's cards. The
-// slices are host-first (index 0 the host, 1+i card i) and sized 1+K:
-// a holds the shares, tr is scratch for the per-unit noise traits, and
-// t and e, zeroed by the caller, receive each unit's time (computed
-// only when its share is non-empty) and then its energy over the
-// makespan.
-func (p *Platform) measureUnits(w Workload, a []perf.Assignment, trial int, tr []perf.Traits, t, e []float64) error {
-	tr[0] = w.Traits()
-	for i, c := range p.cards {
-		tr[1+i] = tr[0]
-		if c.name != "" {
-			tr[1+i].Name = w.Name + ":" + c.name
-		}
+// checkOneCard validates w and checks that p splits a host/device
+// configuration: a space.Config addresses exactly one card.
+func (p *Platform) checkOneCard(w Workload) error {
+	if err := w.Validate(); err != nil {
+		return err
 	}
+	if len(p.cards) != 1 {
+		return fmt.Errorf("offload: a host/device configuration needs a one-card platform, not %d cards", len(p.cards))
+	}
+	return nil
+}
+
+// Compose builds the measurement of one host/device run from its two
+// priced units: E is the makespan max(T_host, T_device) (Equation 2),
+// and each engaged unit's energy is priced over it.
+func Compose(host, device perf.Unit) Measurement {
+	makespan := max(host.Time, device.Time)
+	return Measurement{
+		Times:  Times{Host: host.Time, Device: device.Time},
+		Energy: Energy{Host: host.Energy(makespan), Device: device.Energy(makespan)},
+	}
+}
+
+// cardTraits returns the noise traits of card i for a workload whose
+// host traits are tr: a named card keys its noise by
+// "<workload>:<name>".
+func (p *Platform) cardTraits(tr perf.Traits, i int) perf.Traits {
+	if name := p.cards[i].name; name != "" {
+		tr.Name += ":" + name
+	}
+	return tr
+}
+
+// measureUnits prices one experiment's units. a and u are host-first
+// (index 0 the host, 1+i card i) and sized 1+K: a holds the shares and
+// u receives each unit's price. It is the per-unit pricing code every
+// measurement path shares: MeasureFull, MeasureSplit and the per-unit
+// tables.
+func (p *Platform) measureUnits(w Workload, a []perf.Assignment, trial int, u []perf.Unit) error {
+	tr := w.Traits()
 	var err error
-	if a[0].SizeMB > 0 {
-		if t[0], err = p.host.HostTime(a[0], tr[0], trial); err != nil {
-			return err
-		}
-	}
-	makespan := t[0]
-	for i, c := range p.cards {
-		if a[1+i].SizeMB > 0 {
-			if t[1+i], err = c.model.DeviceTime(a[1+i], tr[1+i], trial); err != nil {
-				return err
-			}
-		}
-		makespan = max(makespan, t[1+i])
-	}
-	if e[0], err = p.host.HostEnergy(a[0], tr[0], trial, t[0], makespan); err != nil {
+	if u[0], err = p.host.HostUnit(a[0], tr, trial); err != nil {
 		return err
 	}
 	for i, c := range p.cards {
-		if e[1+i], err = c.model.DeviceEnergy(a[1+i], tr[1+i], trial, t[1+i], makespan); err != nil {
+		if u[1+i], err = c.model.DeviceUnit(a[1+i], p.cardTraits(tr, i), trial); err != nil {
 			return err
 		}
 	}
@@ -412,10 +423,18 @@ func (p *Platform) MeasureSplit(w Workload, s Split, trial int) (SplitMeasuremen
 	for i, c := range s.Cards {
 		a[1+i] = c.assignment(w)
 	}
+	u := make([]perf.Unit, n)
+	if err := p.measureUnits(w, a, trial, u); err != nil {
+		return SplitMeasurement{}, err
+	}
+	makespan := u[0].Time
+	for _, x := range u[1:] {
+		makespan = max(makespan, x.Time)
+	}
 	vals := make([]float64, 2*n)
 	m := SplitMeasurement{Times: vals[:n:n], Energy: vals[n:]}
-	if err := p.measureUnits(w, a, trial, make([]perf.Traits, n), m.Times, m.Energy); err != nil {
-		return SplitMeasurement{}, err
+	for i, x := range u {
+		m.Times[i], m.Energy[i] = x.Time, x.Energy(makespan)
 	}
 	return m, nil
 }

@@ -119,6 +119,39 @@ func TestMeasureRejectsBadFraction(t *testing.T) {
 	}
 }
 
+// TestMeasureAllOnHostRoundingSize: for about one size in fifteen,
+// SizeMB*100/100 rounds one ulp above SizeMB, so an all-on-host split
+// leaves the device a tiny negative share. That share is no work: the
+// device stays idle, and measuring the split (which every enumeration
+// does) must not fail with "negative device size", on the direct path
+// or through a unit table.
+func TestMeasureAllOnHostRoundingSize(t *testing.T) {
+	w := GenomeWorkload(dna.Human).Scaled(1692.534)
+	if _, devMB, err := w.Shares(100); err != nil || devMB >= 0 {
+		t.Fatalf("Shares(100) left the device %g (%v); pick a size that rounds above itself", devMB, err)
+	}
+	p := quietPlatform()
+	m, err := p.MeasureFull(w, balancedConfig(100), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Times.Device != 0 || m.Energy.Device != 0 || m.Times.Host <= 0 {
+		t.Fatalf("all-on-host measurement %+v: want an idle device", m)
+	}
+	schema := space.PaperSchema()
+	tab, err := p.UnitTable(w, 0, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, ok := schema.Locate(balancedConfig(100))
+	if !ok {
+		t.Fatal("configuration not on the paper schema")
+	}
+	if got, err := tab.Measure(idx[:]); err != nil || got != m {
+		t.Fatalf("tabled all-on-host measurement %+v (%v), want %+v", got, err, m)
+	}
+}
+
 func TestMeasureRejectsBadConfig(t *testing.T) {
 	p := quietPlatform()
 	w := GenomeWorkload(dna.Human)

@@ -75,22 +75,19 @@ func TestEnergyDeterministicAndKeyed(t *testing.T) {
 	m := NewPaperModel()
 	a := Assignment{SizeMB: 1000, Threads: 48, Affinity: machine.AffinityScatter}
 	w := Traits{Name: "human"}
-	e1, err := m.HostEnergy(a, w, 0, 2.0, 2.5)
-	if err != nil {
-		t.Fatal(err)
+	energy := func(trial int) (float64, Unit) {
+		t.Helper()
+		u, err := m.HostUnit(a, w, trial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u.Energy(u.Time + 0.5), u
 	}
-	e2, err := m.HostEnergy(a, w, 0, 2.0, 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e1 != e2 {
+	e1, u := energy(0)
+	if e2, _ := energy(0); e1 != e2 {
 		t.Fatalf("same key produced %g and %g J", e1, e2)
 	}
-	e3, err := m.HostEnergy(a, w, 1, 2.0, 2.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e3 == e1 {
+	if e3, _ := energy(1); e3 == e1 {
 		t.Error("different trials should observe different noise draws")
 	}
 	// The noise is a small relative perturbation around the analytic
@@ -99,7 +96,7 @@ func TestEnergyDeterministicAndKeyed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := p*2.0 + m.Cal.HostIdleW*0.5
+	want := p*u.Time + m.Cal.HostIdleW*0.5
 	if math.Abs(e1-want)/want > 5*m.Cal.NoiseStdHostPower {
 		t.Fatalf("energy %g J too far from analytic %g J", e1, want)
 	}
@@ -108,18 +105,18 @@ func TestEnergyDeterministicAndKeyed(t *testing.T) {
 func TestEnergyDisengagedUnit(t *testing.T) {
 	m := NewPaperModel()
 	w := Traits{Name: "human"}
-	e, err := m.HostEnergy(Assignment{SizeMB: 0, Threads: 48}, w, 0, 0, 3.0)
+	u, err := m.HostUnit(Assignment{SizeMB: 0, Threads: 48}, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e != 0 {
+	if e := u.Energy(3.0); e != 0 || u.Engaged {
 		t.Errorf("a unit with no work must consume nothing, got %g J", e)
 	}
-	e, err = m.DeviceEnergy(Assignment{SizeMB: 0, Threads: 240}, w, 0, 0, 3.0)
+	u, err = m.DeviceUnit(Assignment{SizeMB: 0, Threads: 240}, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e != 0 {
+	if e := u.Energy(3.0); e != 0 || u.Engaged {
 		t.Errorf("a disengaged device must consume nothing, got %g J", e)
 	}
 }
@@ -127,10 +124,16 @@ func TestEnergyDisengagedUnit(t *testing.T) {
 func TestEnergyRejectsInvalidPlacement(t *testing.T) {
 	m := NewPaperModel()
 	w := Traits{Name: "human"}
-	if _, err := m.HostEnergy(Assignment{SizeMB: 10, Threads: -1, Affinity: machine.AffinityScatter}, w, 0, 1, 1); err == nil {
+	if _, err := m.HostUnit(Assignment{SizeMB: 10, Threads: -1, Affinity: machine.AffinityScatter}, w, 0); err == nil {
 		t.Error("negative thread count should fail")
 	}
-	if _, err := m.DeviceEnergy(Assignment{SizeMB: 10, Threads: -1, Affinity: machine.AffinityBalanced}, w, 0, 1, 1); err == nil {
+	if _, err := m.DeviceUnit(Assignment{SizeMB: 10, Threads: -1, Affinity: machine.AffinityBalanced}, w, 0); err == nil {
 		t.Error("negative device thread count should fail")
+	}
+	if _, err := m.HostModeledUnit(-1, machine.AffinityScatter, 1); err == nil {
+		t.Error("negative thread count should fail the power model")
+	}
+	if _, err := m.DeviceModeledUnit(-1, machine.AffinityBalanced, 1); err == nil {
+		t.Error("negative device thread count should fail the power model")
 	}
 }

@@ -21,9 +21,9 @@
 // Normalize) before keying the store, so identical requests — whatever
 // their field order or explicit defaults — produce bit-identical
 // results, the second one marked as a store hit. Concurrent jobs for
-// the same workload share a configuration-keyed evaluation memo (via
-// core.Instance.MeasureCache), so overlapping searches never pay for
-// the same measurement twice.
+// the same workload share one per-unit measurement table (via
+// core.Instance.MeasureCache), so overlapping searches never price the
+// same unit twice.
 package serve
 
 import (
@@ -41,7 +41,6 @@ import (
 	"hetopt/internal/graph"
 	"hetopt/internal/offload"
 	"hetopt/internal/scenario"
-	"hetopt/internal/search"
 	"hetopt/internal/space"
 	"hetopt/internal/strategy"
 )
@@ -179,8 +178,8 @@ type Server struct {
 	trained map[trainKey]*trainState
 
 	evalMu     sync.Mutex
-	memos      map[workloadKey]*search.Memo[space.Config, offload.Measurement]
-	memoOrder  []workloadKey
+	tables     map[workloadKey]*offload.UnitTable
+	tableOrder []workloadKey
 	predictors map[workloadKey]*core.Predictor
 	predOrder  []workloadKey
 
@@ -219,7 +218,7 @@ func NewCluster(opt Options) (*Server, error) {
 		jobs:       map[string]*job{},
 		platforms:  map[string]*platformState{},
 		trained:    map[trainKey]*trainState{},
-		memos:      map[workloadKey]*search.Memo[space.Config, offload.Measurement]{},
+		tables:     map[workloadKey]*offload.UnitTable{},
 		predictors: map[workloadKey]*core.Predictor{},
 	}
 	s.runFn = s.runTune
@@ -685,78 +684,41 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Metrics())
 }
 
-// maxWorkloadStates bounds the per-workload shared state maps (memos,
-// predictors): workload identity includes the caller-controlled
+// maxWorkloadStates bounds the per-workload shared state maps (unit
+// tables, predictors): workload identity includes the caller-controlled
 // size_mb, so without a bound a size scan would accumulate state
 // forever. Beyond the bound the oldest workload's state is dropped —
 // in-flight jobs keep their pointers (still correct, just no sharing
 // with future jobs for that workload).
 const maxWorkloadStates = 64
 
-// sharedMemo returns the per-workload evaluation memo, creating it on
-// first use. Every concurrent job for the same workload funnels its
-// measurements through this memo, so overlapping searches pay for each
-// configuration once.
-func (s *Server) sharedMemo(k workloadKey) *search.Memo[space.Config, offload.Measurement] {
+// unitTable returns the per-workload measured unit table, creating it
+// on first use. Every job for the workload measures through it (each
+// through its own core.TableMeasure, which keeps the job's accounting),
+// so overlapping searches price each unit once.
+func (s *Server) unitTable(k workloadKey, st *platformState, w offload.Workload) (*offload.UnitTable, error) {
 	s.evalMu.Lock()
 	defer s.evalMu.Unlock()
-	m, ok := s.memos[k]
-	if !ok {
-		m = search.NewShardedMemo[space.Config, offload.Measurement](16, search.HashConfig)
-		s.memos[k] = m
-		s.memoOrder = append(s.memoOrder, k)
-		if len(s.memoOrder) > maxWorkloadStates {
-			delete(s.memos, s.memoOrder[0])
-			s.memoOrder = s.memoOrder[1:]
-		}
+	if t, ok := s.tables[k]; ok {
+		return t, nil
 	}
-	return m
+	t, err := st.platform.UnitTable(w, 0, st.schema)
+	if err != nil {
+		return nil, err
+	}
+	remember(s.tables, &s.tableOrder, k, t)
+	return t, nil
 }
 
-// memoEval is a per-job evaluator funneling this job's measurer
-// through the workload's shared memo. Two layers keep the accounting
-// deterministic while the physical work is shared: the per-job memo
-// charges this job's effort counter exactly once per distinct
-// configuration it visits — whether the shared memo computes the
-// measurement or replays one another job paid — so a job's Experiments
-// is a pure function of its request, not of cache warmth; the shared
-// memo ensures each configuration is physically measured at most once
-// per workload across the whole server.
-type memoEval struct {
-	jobMemo *search.Memo[space.Config, offload.Measurement]
-	shared  *search.Memo[space.Config, offload.Measurement]
-	meas    *core.Measurer
-}
-
-// newMemoEval builds the two-layer evaluator for one job.
-func newMemoEval(shared *search.Memo[space.Config, offload.Measurement], meas *core.Measurer) *memoEval {
-	return &memoEval{
-		jobMemo: search.NewShardedMemo[space.Config, offload.Measurement](16, search.HashConfig),
-		shared:  shared,
-		meas:    meas,
+// remember stores v under k in a per-workload map whose keys order
+// lists oldest first, dropping the oldest beyond maxWorkloadStates.
+func remember[V any](m map[workloadKey]V, order *[]workloadKey, k workloadKey, v V) {
+	m[k] = v
+	*order = append(*order, k)
+	if len(*order) > maxWorkloadStates {
+		delete(m, (*order)[0])
+		*order = (*order)[1:]
 	}
-}
-
-// Evaluate implements core.Evaluator.
-func (e *memoEval) Evaluate(cfg space.Config) (offload.Measurement, error) {
-	// Repeat visits take the allocation-free fast path; a hit on the
-	// per-job memo charges nothing, exactly like a Do hit.
-	if v, ok, err := e.jobMemo.Get(cfg); ok {
-		return v, err
-	}
-	return e.jobMemo.Do(cfg, func() (offload.Measurement, error) {
-		computed := false
-		m, err := e.shared.Do(cfg, func() (offload.Measurement, error) {
-			computed = true
-			return e.meas.Evaluate(cfg)
-		})
-		if err == nil && !computed {
-			// Served by another job's measurement: charge the logical
-			// experiment without re-running it.
-			e.meas.Charge()
-		}
-		return m, err
-	})
 }
 
 // trainKey identifies one (platform, workload family) model pair.
@@ -864,8 +826,8 @@ func Scenarios() ScenariosResponse {
 	return resp
 }
 
-// predictor returns the shared per-workload predictor (its internal
-// memo tables are concurrency-safe, so jobs share prediction work too).
+// predictor returns the shared per-workload predictor (its unit table
+// is concurrency-safe, so jobs share prediction work too).
 func (s *Server) predictor(k workloadKey, st *platformState, fam scenario.Family, w offload.Workload) (*core.Predictor, error) {
 	models, err := s.trainedModels(st, fam)
 	if err != nil {
@@ -880,13 +842,22 @@ func (s *Server) predictor(k workloadKey, st *platformState, fam scenario.Family
 	if err != nil {
 		return nil, err
 	}
-	s.predictors[k] = p
-	s.predOrder = append(s.predOrder, k)
-	if len(s.predOrder) > maxWorkloadStates {
-		delete(s.predictors, s.predOrder[0])
-		s.predOrder = s.predOrder[1:]
-	}
+	remember(s.predictors, &s.predOrder, k, p)
 	return p, nil
+}
+
+// Compute runs one request's tuning computation synchronously on the
+// calling goroutine: the compute path of a pooled job, sharing the
+// server's unit tables, predictors and trained models, but with no
+// HTTP, worker pool or warm-start store (nothing is stored). The
+// request gets the server's defaults and is normalized first.
+func (s *Server) Compute(raw TuneRequest) (TuneResult, error) {
+	s.applyDefaults(&raw)
+	req, err := raw.Normalize()
+	if err != nil {
+		return TuneResult{}, err
+	}
+	return s.runFn(req)
 }
 
 // runTune executes one canonical request on the strategy layer.
@@ -920,11 +891,15 @@ func (s *Server) runTune(req TuneRequest) (TuneResult, error) {
 	}
 
 	wk := workloadKey{platform: req.Platform, name: w.Name, sizeMB: w.SizeMB}
+	tab, err := s.unitTable(wk, st, w)
+	if err != nil {
+		return TuneResult{}, err
+	}
 	meas := core.NewMeasurer(st.platform, w)
 	inst := &core.Instance{
 		Schema:       st.schema,
 		Measurer:     meas,
-		MeasureCache: newMemoEval(s.sharedMemo(wk), meas),
+		MeasureCache: core.NewTableMeasure(tab, meas),
 	}
 	if method.UsesML() {
 		pred, err := s.predictor(wk, st, fam, w)

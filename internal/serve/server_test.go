@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hetopt/internal/offload"
 )
 
 // newTestServer builds a Server plus an HTTP listener around it.
@@ -367,29 +369,68 @@ func TestBoundedObjectiveCarriesReference(t *testing.T) {
 }
 
 // TestSharedEvaluationMemo: a second job over the same workload re-uses
-// measurements the first already paid (same seed, longer budget: the
-// chain's shared prefix revisits the same configurations). Physical
-// sharing shows up as hits on the per-workload shared memo; the jobs'
-// own Experiments accounting stays a pure function of each request.
+// units the first already priced (same seed, longer budget: the chain's
+// shared prefix revisits the same configurations). Physical sharing
+// shows up as fewer units priced by the per-workload table than the two
+// jobs price alone; the jobs' own Experiments accounting stays a pure
+// function of each request.
 func TestSharedEvaluationMemo(t *testing.T) {
+	reqs := []string{`{"method":"sam","iterations":60,"seed":4}`, `{"method":"sam","iterations":61,"seed":4}`}
+	run := func(s *Server, url, body string) (JobStatus, *offload.UnitTable) {
+		t.Helper()
+		st := submitAndWait(t, url, body)
+		if st.State != JobDone {
+			t.Fatalf("job %s failed: %+v", body, st)
+		}
+		s.evalMu.Lock()
+		defer s.evalMu.Unlock()
+		return st, s.tables[workloadKey{platform: st.Request.Platform, name: "human", sizeMB: st.Request.SizeMB}]
+	}
+	var alonePriced int
+	aloneExperiments := make([]int, len(reqs))
+	for i, body := range reqs {
+		s, ts := newTestServer(t, Options{Workers: 1, QueueSize: 8})
+		st, tab := run(s, ts.URL, body)
+		alonePriced += tab.Priced()
+		aloneExperiments[i] = st.Result.Experiments
+	}
 	s, ts := newTestServer(t, Options{Workers: 1, QueueSize: 8})
-	first := submitAndWait(t, ts.URL, `{"method":"sam","iterations":60,"seed":4}`)
-	if first.State != JobDone {
-		t.Fatalf("first job failed: %+v", first)
+	var tab *offload.UnitTable
+	for i, body := range reqs {
+		var st JobStatus
+		st, tab = run(s, ts.URL, body)
+		if st.Result.Experiments != aloneExperiments[i] {
+			t.Fatalf("job %s charged %d experiments on a shared table, %d alone", body, st.Result.Experiments, aloneExperiments[i])
+		}
 	}
-	second := submitAndWait(t, ts.URL, `{"method":"sam","iterations":61,"seed":4}`)
-	if second.State != JobDone {
-		t.Fatalf("second job failed: %+v", second)
+	if tab.Priced() >= alonePriced {
+		t.Fatalf("no physical sharing: the shared table priced %d units, the jobs alone %d", tab.Priced(), alonePriced)
 	}
-	memo := s.sharedMemo(workloadKey{platform: first.Request.Platform, name: "human", sizeMB: first.Request.SizeMB})
-	if memo.Hits() == 0 {
-		t.Fatalf("shared memo saw no hits across overlapping jobs (lookups=%d unique=%d)",
-			memo.Lookups(), memo.Unique())
+}
+
+// TestComputeMatchesJob: Compute runs the pooled job's computation
+// synchronously — the same result bytes as the job — and stores
+// nothing.
+func TestComputeMatchesJob(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1, QueueSize: 8})
+	res, err := s.Compute(TuneRequest{Method: "sam", Iterations: 50, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Physical work across both jobs is the distinct-config union, not
-	// the sum of what each was charged.
-	if charged := first.Result.Experiments + second.Result.Experiments; memo.Unique() >= charged {
-		t.Fatalf("no physical sharing: %d unique measurements for %d charged experiments", memo.Unique(), charged)
+	if n := s.store.Len(); n != 0 {
+		t.Fatalf("Compute stored %d entries", n)
+	}
+	st := submitAndWait(t, ts.URL, `{"method":"sam","iterations":50,"seed":3}`)
+	if st.State != JobDone || st.Cached {
+		t.Fatalf("job: %+v", st)
+	}
+	b1, _ := json.Marshal(res)
+	b2, _ := json.Marshal(st.Result)
+	if !bytes.Equal(b1, b2) {
+		t.Fatalf("Compute and the job differ:\n%s\n%s", b1, b2)
+	}
+	if _, err := s.Compute(TuneRequest{Method: "nope"}); err == nil {
+		t.Fatal("Compute accepted an invalid request")
 	}
 }
 

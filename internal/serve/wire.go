@@ -330,10 +330,10 @@ type TuneResult struct {
 	// SearchEvaluations counts evaluator calls; Experiments counts the
 	// distinct configurations this job evaluated on the measurement
 	// path. Both are pure functions of the canonical request (a job is
-	// charged for a configuration even when the cross-job shared memo
-	// served it from another job's measurement, so cache warmth never
-	// leaks into the result); physically, shared measurements are run
-	// once per workload across the whole server.
+	// charged for a configuration even when the per-workload unit table
+	// served it from units another job priced, so table warmth never
+	// leaks into the result); physically, each unit is priced once per
+	// workload across the whole server.
 	SearchEvaluations int `json:"search_evaluations"`
 	Experiments       int `json:"experiments"`
 	// Placement carries the task-graph placement of a DAG workload run;

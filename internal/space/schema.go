@@ -13,7 +13,8 @@ const (
 	ParamDeviceThreads
 	ParamDeviceAffinity
 	ParamHostFraction
-	numParams
+	// NumParams is the length of a schema index vector.
+	NumParams
 )
 
 // Config is the typed view of one system configuration: the decision
@@ -172,32 +173,47 @@ func (sc *Schema) Config(idx []int) (Config, error) {
 // Index encodes a typed configuration back into an index vector. Every
 // field must be one of the schema's levels.
 func (sc *Schema) Index(cfg Config) ([]int, error) {
-	idx := make([]int, numParams)
-	find := func(name string, want float64, values []float64) (int, error) {
-		for i, v := range values {
-			if v == want {
-				return i, nil
-			}
+	idx := make([]int, NumParams)
+	for i, v := range configValues(cfg) {
+		p := &sc.space.Params[i]
+		if idx[i] = levelOf(p.Values, v); idx[i] < 0 {
+			return nil, fmt.Errorf("space: %s value %g not in schema", p.Name, v)
 		}
-		return 0, fmt.Errorf("space: %s value %g not in schema", name, want)
-	}
-	var err error
-	if idx[ParamHostThreads], err = find("host-threads", float64(cfg.HostThreads), sc.space.Params[ParamHostThreads].Values); err != nil {
-		return nil, err
-	}
-	if idx[ParamHostAffinity], err = find("host-affinity", float64(cfg.HostAffinity), sc.space.Params[ParamHostAffinity].Values); err != nil {
-		return nil, err
-	}
-	if idx[ParamDeviceThreads], err = find("device-threads", float64(cfg.DeviceThreads), sc.space.Params[ParamDeviceThreads].Values); err != nil {
-		return nil, err
-	}
-	if idx[ParamDeviceAffinity], err = find("device-affinity", float64(cfg.DeviceAffinity), sc.space.Params[ParamDeviceAffinity].Values); err != nil {
-		return nil, err
-	}
-	if idx[ParamHostFraction], err = find("host-fraction", cfg.HostFraction, sc.space.Params[ParamHostFraction].Values); err != nil {
-		return nil, err
 	}
 	return idx, nil
+}
+
+// Locate is Index without allocating: it returns cfg's index vector,
+// with ok false when a field is not one of the schema's levels.
+func (sc *Schema) Locate(cfg Config) (idx [NumParams]int, ok bool) {
+	for i, v := range configValues(cfg) {
+		if idx[i] = levelOf(sc.space.Params[i].Values, v); idx[i] < 0 {
+			return idx, false
+		}
+	}
+	return idx, true
+}
+
+// configValues lists cfg's fields as parameter values, in parameter
+// order.
+func configValues(cfg Config) [NumParams]float64 {
+	return [NumParams]float64{
+		ParamHostThreads:    float64(cfg.HostThreads),
+		ParamHostAffinity:   float64(cfg.HostAffinity),
+		ParamDeviceThreads:  float64(cfg.DeviceThreads),
+		ParamDeviceAffinity: float64(cfg.DeviceAffinity),
+		ParamHostFraction:   cfg.HostFraction,
+	}
+}
+
+// levelOf returns the index of want in values, -1 when absent.
+func levelOf(values []float64, want float64) int {
+	for i, v := range values {
+		if v == want {
+			return i
+		}
+	}
+	return -1
 }
 
 // HostThreadValues returns the host thread levels (copy).

@@ -41,9 +41,10 @@ func TestSchemaConfigRoundTrip(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		located, ok := sc.Locate(cfg)
 		for i := range idx {
-			if back[i] != idx[i] {
-				t.Fatalf("round trip failed at %v -> %+v -> %v", idx, cfg, back)
+			if back[i] != idx[i] || !ok || located[i] != idx[i] {
+				t.Fatalf("round trip failed at %v -> %+v -> %v (Locate %v, %v)", idx, cfg, back, located, ok)
 			}
 		}
 		return nil
@@ -84,6 +85,9 @@ func TestSchemaIndexRejectsForeignValues(t *testing.T) {
 	for i, cfg := range bad {
 		if _, err := sc.Index(cfg); err == nil {
 			t.Errorf("config %d (%v) should be rejected", i, cfg)
+		}
+		if _, ok := sc.Locate(cfg); ok {
+			t.Errorf("config %d (%v) located", i, cfg)
 		}
 	}
 }
