@@ -163,6 +163,21 @@ func main() {
 	}
 }
 
+// Connection timeouts. A client must send its request headers within
+// readHeaderTimeout, so one that trickles them cannot hold a connection
+// forever, and an idle keep-alive connection closes after idleTimeout.
+// There is no write timeout: a cold forward blocks for compute for up
+// to -forward-timeout before its response is written.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the HTTP server on addr with the connection timeouts.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func run(p params) error {
 	if err := p.validate(); err != nil {
 		return err
@@ -189,7 +204,7 @@ func run(p params) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	httpSrv := &http.Server{Addr: p.addr, Handler: s}
+	httpSrv := newServer(p.addr, s)
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 

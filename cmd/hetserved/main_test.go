@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -99,5 +100,24 @@ func TestRunRejectsInvalid(t *testing.T) {
 	p.workers = -1
 	if err := run(p); err == nil {
 		t.Fatalf("run accepted invalid params")
+	}
+}
+
+// TestServerTimeouts: slow or idle clients cannot hold a connection
+// forever, while responses are never cut off by a write timeout (a
+// cold forward legitimately blocks for compute).
+func TestServerTimeouts(t *testing.T) {
+	srv := newServer(":0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadHeaderTimeout > time.Minute {
+		t.Errorf("ReadHeaderTimeout = %v, want a positive bound of at most a minute", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want positive", srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want none", srv.WriteTimeout)
+	}
+	if srv.Addr != ":0" || srv.Handler == nil {
+		t.Errorf("server not bound to its address and handler: %+v", srv)
 	}
 }

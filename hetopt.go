@@ -47,7 +47,6 @@ import (
 	"fmt"
 	"io"
 
-	"hetopt/internal/adaptive"
 	"hetopt/internal/automata"
 	"hetopt/internal/core"
 	"hetopt/internal/dna"
@@ -107,8 +106,9 @@ type (
 	// Options tunes an optimization run.
 	Options = core.Options
 	// Strategy is a pluggable search strategy over the configuration
-	// space (set via Options.Strategy, TuneMulti's strat argument or
-	// RefineOptions.Strategy; nil keeps the method presets).
+	// space (set via Options.Strategy, for a method run or for
+	// TuneAndRefine's refinement, or via TuneMulti's strat argument;
+	// nil keeps the method presets and refinement's hill climb).
 	Strategy = strategy.Strategy
 	// AnnealStrategy is the paper's simulated annealing as an injectable
 	// strategy; ExhaustiveStrategy enumerates; GeneticStrategy,
@@ -168,10 +168,6 @@ type (
 	DynamicConfig    = dynsched.Config
 	// Match is a streamed match event (end position + multiplicity).
 	Match = automata.Match
-	// RefineOptions and RefineResult configure and report adaptive
-	// measured refinement of a suggested configuration.
-	RefineOptions = adaptive.Options
-	RefineResult  = adaptive.Result
 	// Server is the embeddable tuning-as-a-service HTTP handler
 	// (cmd/hetserved wraps it): async jobs over a bounded worker pool
 	// with a warm-start result store. ServeOptions configures it.
@@ -537,13 +533,14 @@ func (t *Tuner) TuneWithTimeSlack(w Workload, m Method, opt Options, slack float
 
 // TuneAndRefine runs the adaptive pipeline (paper future work): SAML
 // proposes a configuration from predictions, then a small budget of real
-// measurements hill-climbs from it.
-func (t *Tuner) TuneAndRefine(w Workload, samlOpt Options, refineOpt RefineOptions) (Result, RefineResult, error) {
+// measurements hill-climbs from it (refineOpt.Iterations measurements,
+// zero selecting 48; refineOpt.Strategy replaces the climb).
+func (t *Tuner) TuneAndRefine(w Workload, samlOpt, refineOpt Options) (saml, refined Result, err error) {
 	inst, err := t.instance(w, true)
 	if err != nil {
-		return Result{}, RefineResult{}, err
+		return Result{}, Result{}, err
 	}
-	return adaptive.TuneAndRefine(inst, samlOpt, refineOpt)
+	return core.TuneAndRefine(inst, samlOpt, refineOpt)
 }
 
 // Baselines measures the host-only and device-only reference

@@ -146,15 +146,15 @@ func TestTunerTuneAndRefine(t *testing.T) {
 	tu := sharedTuner(t)
 	saml, refined, err := tu.TuneAndRefine(GenomeWorkload(Dog),
 		Options{Iterations: 400, Seed: 9},
-		RefineOptions{MeasureBudget: 40})
+		Options{Iterations: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refined.MeasuredE > saml.MeasuredE() {
-		t.Fatalf("refinement worsened the suggestion: %g -> %g", saml.MeasuredE(), refined.MeasuredE)
+	if refined.MeasuredE() > saml.MeasuredE() {
+		t.Fatalf("refinement worsened the suggestion: %g -> %g", saml.MeasuredE(), refined.MeasuredE())
 	}
-	if refined.Measurements > 40 {
-		t.Fatalf("budget exceeded: %d", refined.Measurements)
+	if refined.Experiments > 40 {
+		t.Fatalf("budget exceeded: %d", refined.Experiments)
 	}
 }
 

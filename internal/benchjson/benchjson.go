@@ -21,6 +21,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -32,12 +33,17 @@ type Record struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// File is the serialized perf record.
+// File is the serialized perf record. The host metadata (GOMAXPROCS,
+// NumCPU, CPU) is optional: records written before it existed load
+// with the fields zero, and CPU stays empty off Linux.
 type File struct {
 	Schema     int      `json:"schema"`
 	GoVersion  string   `json:"go"`
 	GOOS       string   `json:"goos"`
 	GOARCH     string   `json:"goarch"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	NumCPU     int      `json:"num_cpu,omitempty"`
+	CPU        string   `json:"cpu,omitempty"`
 	Benchmarks []Record `json:"benchmarks"`
 }
 
@@ -53,10 +59,13 @@ type Def struct {
 // order.
 func Run(defs []Def) File {
 	f := File{
-		Schema:    1,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
+		Schema:     1,
+		GoVersion:  runtime.Version(),
+		GOOS:       runtime.GOOS,
+		GOARCH:     runtime.GOARCH,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		CPU:        hostCPU(),
 	}
 	for _, d := range defs {
 		r := testing.Benchmark(d.Bench)
@@ -68,6 +77,31 @@ func Run(defs []Def) File {
 		})
 	}
 	return f
+}
+
+// hostCPU returns the CPU model name on Linux, empty elsewhere or when
+// /proc/cpuinfo cannot be read.
+func hostCPU() string {
+	if runtime.GOOS != "linux" {
+		return ""
+	}
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	return cpuModel(b)
+}
+
+// cpuModel extracts the first "model name" value of a /proc/cpuinfo
+// listing.
+func cpuModel(cpuinfo []byte) string {
+	for _, line := range strings.Split(string(cpuinfo), "\n") {
+		key, value, ok := strings.Cut(line, ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(value)
+		}
+	}
+	return ""
 }
 
 // Write serializes f as indented JSON with a trailing newline.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -14,6 +15,7 @@ func record(name string, ns float64, allocs, bytes int64) Record {
 
 func TestWriteReadRoundtrip(t *testing.T) {
 	f := File{Schema: 1, GoVersion: "go1.23", GOOS: "linux", GOARCH: "amd64",
+		GOMAXPROCS: 2, NumCPU: 4, CPU: "Example CPU @ 2.00GHz",
 		Benchmarks: []Record{record("a", 123.5, 4, 96)}}
 	var buf bytes.Buffer
 	if err := Write(&buf, f); err != nil {
@@ -27,11 +29,50 @@ func TestWriteReadRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Benchmarks) != 1 || got.Benchmarks[0] != f.Benchmarks[0] {
+	if len(got.Benchmarks) != 1 || got.Benchmarks[0] != f.Benchmarks[0] ||
+		got.GOMAXPROCS != f.GOMAXPROCS || got.NumCPU != f.NumCPU || got.CPU != f.CPU {
 		t.Fatalf("roundtrip mismatch: %+v", got)
 	}
 	if !strings.HasSuffix(buf.String(), "\n") {
 		t.Fatal("missing trailing newline")
+	}
+}
+
+// TestReadFileLoadsRecordWithoutHostMetadata: the host fields are
+// optional, so records written before they existed still load.
+func TestReadFileLoadsRecordWithoutHostMetadata(t *testing.T) {
+	f, err := ReadFile(filepath.Join("..", "..", "BENCH_16.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Schema != 1 || len(f.Benchmarks) == 0 {
+		t.Fatalf("BENCH_16.json loaded incompletely: %+v", f)
+	}
+	if f.GOMAXPROCS != 0 || f.NumCPU != 0 || f.CPU != "" {
+		t.Fatalf("host metadata invented for an old record: %+v", f)
+	}
+}
+
+func TestRunRecordsHostMetadata(t *testing.T) {
+	f := Run(nil)
+	if f.Schema != 1 || f.GOMAXPROCS != runtime.GOMAXPROCS(0) || f.NumCPU != runtime.NumCPU() {
+		t.Fatalf("host metadata not recorded: %+v", f)
+	}
+	if f.CPU != hostCPU() {
+		t.Fatalf("cpu = %q, want %q", f.CPU, hostCPU())
+	}
+	if runtime.GOOS != "linux" && f.CPU != "" {
+		t.Fatalf("cpu = %q off Linux, want empty", f.CPU)
+	}
+}
+
+func TestCPUModel(t *testing.T) {
+	info := "processor\t: 0\nvendor_id\t: GenuineIntel\nmodel name\t: Example CPU @ 2.00GHz\n\nprocessor\t: 1\nmodel name\t: Other\n"
+	if got := cpuModel([]byte(info)); got != "Example CPU @ 2.00GHz" {
+		t.Fatalf("cpuModel = %q", got)
+	}
+	if got := cpuModel([]byte("processor\t: 0\n")); got != "" {
+		t.Fatalf("cpuModel without a model line = %q, want empty", got)
 	}
 }
 

@@ -122,7 +122,7 @@ type Options struct {
 	// evaluation budget — whichever strategy explores; exhaustive
 	// enumeration ignores it). Zero selects 1000, the budget the paper
 	// highlights as "only about 5% of the total possible
-	// configurations".
+	// configurations" (48 for Refine).
 	Iterations int
 	// Seed drives the strategy's stochastic choices; worker i derives
 	// search.ChainSeed(Seed, i).
@@ -159,11 +159,11 @@ type Options struct {
 	Objective Objective
 	// Strategy injects the search strategy. Nil selects the method's
 	// preset — exhaustive enumeration for EM/EML, the paper's simulated
-	// annealing for SAM/SAML — keeping the four paper methods
-	// bit-identical to their pre-strategy-layer behavior. Any
-	// strategy.Strategy (including a racing strategy.Portfolio) can be
-	// injected to explore the same space under the same objective and
-	// evaluator.
+	// annealing for SAM/SAML, the hill climb for Refine — keeping the
+	// four paper methods bit-identical to their pre-strategy-layer
+	// behavior. Any strategy.Strategy (including a racing
+	// strategy.Portfolio) can be injected to explore the same space
+	// under the same objective and evaluator.
 	Strategy strategy.Strategy
 }
 
@@ -288,6 +288,13 @@ func Run(m Method, inst *Instance, opt Options) (Result, error) {
 	if err := inst.Validate(m); err != nil {
 		return Result{}, err
 	}
+	return run(m, inst, opt, nil)
+}
+
+// run searches the instance with opt's strategy for method m. A non-nil
+// start makes it a refinement (see Refine): every worker starts there,
+// and the winner is read back rather than measured again.
+func run(m Method, inst *Instance, opt Options, start []int) (Result, error) {
 	startCount := inst.Measurer.Count()
 	var evalSet Evaluator
 	if m.UsesML() {
@@ -297,13 +304,15 @@ func Run(m Method, inst *Instance, opt Options) (Result, error) {
 	}
 
 	obj := opt.objective()
-	var prob strategy.Spaced = newSearchProblem(inst.Schema, evalSet, obj, opt.NeighborMode)
+	sp := newSearchProblem(inst.Schema, evalSet, obj, opt.NeighborMode)
+	sp.start = start
+	var prob strategy.Spaced = sp
 	if !m.UsesML() {
 		// Measurement-path runs get the roofline pruning oracle so the
 		// exact strategy (standalone or inside a portfolio) can prune;
 		// prediction-path runs stay bound-free (see bound.go).
 		if b := newRooflineBounder(inst.Schema, inst.Measurer.Platform, inst.Measurer.Workload, obj); b != nil {
-			prob = &boundedSearchProblem{searchProblem: prob.(*searchProblem), b: b}
+			prob = &boundedSearchProblem{searchProblem: sp, b: b}
 		}
 	}
 	best, sres, err := searchWith(opt.strategyFor(m), prob, inst.Schema, opt)
@@ -317,8 +326,15 @@ func Run(m Method, inst *Instance, opt Options) (Result, error) {
 
 	// Fair comparison: measure the suggested configuration. For
 	// measurement-driven methods this re-measures the same trial, which
-	// reproduces the identical value at no extra information.
-	measured, err := inst.measureEvaluator().Evaluate(best)
+	// reproduces the identical value at no extra information. A
+	// refinement measured its winner during the search, so it reads the
+	// value back without another experiment.
+	var measured offload.Measurement
+	if start != nil {
+		measured, err = inst.Measurer.known(best)
+	} else {
+		measured, err = inst.measureEvaluator().Evaluate(best)
+	}
 	if err != nil {
 		return Result{}, fmt.Errorf("core: measuring suggested configuration: %w", err)
 	}
@@ -375,13 +391,16 @@ func newSearchProblem(schema *space.Schema, eval Evaluator, obj Objective, mode 
 
 // searchProblem is stateless — Energy is a pure function of the state —
 // so every worker of every strategy can share one instance. states,
-// when non-nil, is eval's table-backed form over schema.
+// when non-nil, is eval's table-backed form over schema. start, when
+// non-nil, is the Initial state of every worker (a refinement's seed);
+// otherwise Initial draws uniformly.
 type searchProblem struct {
 	schema *space.Schema
 	eval   Evaluator
 	states stateEvaluator
 	mode   space.NeighborMode
 	obj    Objective
+	start  []int
 }
 
 func (p *searchProblem) Dim() int { return p.schema.Space().Dim() }
@@ -389,6 +408,10 @@ func (p *searchProblem) Dim() int { return p.schema.Space().Dim() }
 func (p *searchProblem) Levels(i int) int { return p.schema.Space().Params[i].Levels() }
 
 func (p *searchProblem) Initial(dst []int, rng *rand.Rand) {
+	if p.start != nil {
+		copy(dst, p.start)
+		return
+	}
 	copy(dst, p.schema.Space().Random(rng))
 }
 

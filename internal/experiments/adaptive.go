@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"hetopt/internal/adaptive"
 	"hetopt/internal/core"
 	"hetopt/internal/offload"
 	"hetopt/internal/tables"
@@ -40,14 +39,14 @@ func (s *Suite) ExtAdaptive(iterations, refineBudget int) ([]AdaptiveRow, error)
 		experiments := 0
 		for r := 0; r < s.repeats(); r++ {
 			inst.Measurer.ResetCount()
-			saml, refined, err := adaptive.TuneAndRefine(inst,
+			saml, refined, err := core.TuneAndRefine(inst,
 				s.coreOpts(iterations, s.Seed+int64(r)+genomeSeed(w.Name)),
-				adaptive.Options{MeasureBudget: refineBudget, Parallelism: s.Parallelism})
+				core.Options{Iterations: refineBudget, Parallelism: s.Parallelism})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: adaptive on %s: %w", w.Name, err)
 			}
 			samlSum += saml.MeasuredE()
-			refinedSum += refined.MeasuredE
+			refinedSum += refined.MeasuredE()
 			experiments += inst.Measurer.Count()
 		}
 		samlMean := samlSum / float64(s.repeats())

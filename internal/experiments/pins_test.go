@@ -51,6 +51,10 @@ func TestRenderPins(t *testing.T) {
 			rows, err := g.ExtMultiDevice(g.reference(), 3, 300)
 			return RenderMultiDevice(rows, g.reference()), err
 		},
+		"adaptive": func() (string, error) {
+			rows, err := s.ExtAdaptive(300, 40)
+			return RenderAdaptive(rows, 300, 40), err
+		},
 	}
 	golden := map[string]string{
 		"heuristics": "9c88a049d0d3f082431681404b66f9b4e43cbc29625f9cb3f4ce8972a114d658",
@@ -59,6 +63,7 @@ func TestRenderPins(t *testing.T) {
 		"cooling":    "446896437854530498787730d892547a9e95946c5473bccdb7243fdb5535df2f",
 		"multi-phi":  "1dae7cfa830b0f94ff73b1ec864a6ce48b62497a5b2059020fd9b6a0b0346e68",
 		"multi-dev":  "4342b1f1688a869d4c26a384bcef1d0eda8d3b7d009e5454b7e5c2949ef96e94",
+		"adaptive":   "4132821ed6cdcb8e97d4227e958f1e38494bf2ea5e0739006e6c09b3955e5c29",
 	}
 	for name, run := range render {
 		text, err := run()

@@ -11,9 +11,10 @@ import (
 // against simulated annealing in Section III-A (citing Press et al.:
 // genetic algorithms, local search, tabu search), plus uniform random
 // sampling as the baseline. Each worker spends at most Options.Budget
-// energy evaluations; the fan-out, seeding and winner selection are
-// fanOut's. All of them recombine or mutate states coordinate-wise, so
-// they require Spaced.
+// energy evaluations and evaluates the problem's Initial state first,
+// drawing any later start uniformly; the fan-out, seeding and winner
+// selection are fanOut's. All of them recombine or mutate states
+// coordinate-wise, so they require Spaced.
 
 // minimizeHeuristic validates the product space once, then fans the
 // searcher out over the workers.
@@ -92,8 +93,8 @@ func randomSearch(p Spaced, c *counter, rng *rand.Rand) (Result, error) {
 	cur := make([]int, p.Dim())
 	best := make([]int, p.Dim())
 	bestE := math.Inf(1)
-	for !c.spent() {
-		randomState(p, cur, rng)
+	p.Initial(cur, rng)
+	for ; !c.spent(); randomState(p, cur, rng) {
 		e, ok := c.eval(cur)
 		if !ok {
 			break
@@ -126,8 +127,8 @@ func localSearch(p Spaced, c *counter, rng *rand.Rand) (Result, error) {
 	best := make([]int, p.Dim())
 	bestE := math.Inf(1)
 
-	for !c.spent() {
-		randomState(p, cur, rng)
+	p.Initial(cur, rng)
+	for ; !c.spent(); randomState(p, cur, rng) {
 		curE, ok := c.eval(cur)
 		if !ok {
 			break
@@ -207,7 +208,7 @@ func (t Tabu) search(p Spaced, c *counter, rng *rand.Rand) (Result, error) {
 	cur := make([]int, p.Dim())
 	cand := make([]int, p.Dim())
 	best := make([]int, p.Dim())
-	randomState(p, cur, rng)
+	p.Initial(cur, rng)
 	curE, _ := c.eval(cur)
 	bestE := curE
 	copy(best, cur)
@@ -323,7 +324,11 @@ func (ga Genetic) search(p Spaced, c *counter, rng *rand.Rand) (Result, error) {
 	population := make([]indiv, pop)
 	for i := range population {
 		g := make([]int, p.Dim())
-		randomState(p, g, rng)
+		if i == 0 {
+			p.Initial(g, rng)
+		} else {
+			randomState(p, g, rng)
+		}
 		e, _ := c.eval(g)
 		population[i] = indiv{genes: g, energy: e}
 	}

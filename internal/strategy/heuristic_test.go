@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -101,6 +102,24 @@ func TestGuidedBeatsRandomOnAverage(t *testing.T) {
 	for i, s := range heuristics()[1:] {
 		if sums[i+1] > sums[0] {
 			t.Errorf("%s should beat random: mean %g vs %g", s.Name(), sums[i+1]/n, sums[0]/n)
+		}
+	}
+}
+
+// TestWorkersStartAtInitial: every worker of the annealer, the
+// heuristics and the climb evaluates the problem's Initial state first,
+// so a refinement seeded there can never end worse than its seed.
+func TestWorkersStartAtInitial(t *testing.T) {
+	for _, s := range []Strategy{DefaultAnneal(), Genetic{}, Tabu{}, Local{}, Random{}, Climb{}} {
+		for _, restarts := range []int{1, 3} {
+			p := startAt{newBowl(), []int{7, 3, 9}}
+			res, err := s.Minimize(p, Options{Budget: 1, Seed: 4, Restarts: restarts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.BestEnergy != 0 || !reflect.DeepEqual(res.Best, []int{7, 3, 9}) {
+				t.Errorf("%s/%d: best %v (E %g), want the Initial state [7 3 9]", s.Name(), restarts, res.Best, res.BestEnergy)
+			}
 		}
 	}
 }

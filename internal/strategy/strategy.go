@@ -8,15 +8,17 @@
 // representation internal/space shares. Annealing chains and heuristic
 // restarts run through one fan-out (fanOut), and a worker stops at its
 // first Energy error. Exact, a branch-and-bound search, is the one
-// member that proves its answer.
+// member that proves its answer; Climb, the measured hill climb of the
+// paper's future work, refines from a given start.
 //
 // Unifying the search layer turns every optimizer x objective x space
 // combination into a first-class scenario: internal/core runs its four
 // paper methods as thin presets (EM/EML = Exhaustive, SAM/SAML =
-// Anneal) over an injected Strategy, internal/multi and
-// internal/adaptive accept the same injection, and Portfolio races any
-// set of member strategies concurrently over a shared single-flight
-// evaluation memo so no configuration is ever paid for twice.
+// Anneal) and its measured refinement (Climb) over an injected
+// Strategy, internal/multi accepts the same injection, and Portfolio
+// races any set of member strategies concurrently over a shared
+// single-flight evaluation memo so no configuration is ever paid for
+// twice.
 //
 // Seeding contract: worker i of any strategy (annealing chain,
 // heuristic restart, portfolio member's workers) draws its seed from
@@ -43,7 +45,8 @@ import (
 type Problem interface {
 	// Dim returns the length of a state vector.
 	Dim() int
-	// Initial writes a valid starting state into dst.
+	// Initial writes a valid starting state into dst. Every worker of
+	// every strategy except Exhaustive and Exact evaluates it first.
 	Initial(dst []int, rng *rand.Rand)
 	// Neighbor writes into dst a neighbor of src; dst and src may alias.
 	Neighbor(dst, src []int, rng *rand.Rand)
